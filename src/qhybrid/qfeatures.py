@@ -166,13 +166,12 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
             probs = probs.reshape(rows, N_BLOCKS, -1)
             for i in range(rows):
                 child = rng.split(f"sample/{start + i}")
-                for b in range(N_BLOCKS):
-                    indices = sample_from_probs(probs[i, b], shots, child)
-                    lo = b * per_block
-                    if layout == "marginal":
-                        bits = (indices[:, None] >> np.arange(BLOCK_SIZE)) & 1
-                        features[start + i, lo : lo + per_block] = bits.mean(axis=0)
-                    else:
-                        hist = np.bincount(indices, minlength=2**BLOCK_SIZE)
-                        features[start + i, lo : lo + per_block] = hist / shots
+                indices = sample_from_probs(probs[i], shots, child).reshape(N_BLOCKS, shots)
+                if layout == "marginal":
+                    bits = (indices[:, :, None] >> np.arange(BLOCK_SIZE)) & 1
+                    features[start + i] = bits.mean(axis=1).ravel()
+                else:
+                    offsets = np.arange(N_BLOCKS)[:, None] * per_block
+                    hist = np.bincount((indices + offsets).ravel(), minlength=N_BLOCKS * per_block)
+                    features[start + i] = hist / shots
     return features

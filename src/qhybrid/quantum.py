@@ -148,12 +148,19 @@ def marginals(state: QuantumState) -> np.ndarray:
 
 
 def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng) -> np.ndarray:
-    """shots i.i.d. indices into a probability vector, drawn by inverse CDF."""
+    """shots i.i.d. indices into a probability vector, drawn by inverse CDF.
+
+    probs may also be a (blocks, outcomes) stack. Its blocks * shots uniforms
+    come from one draw call in block order, so the stream is consumed exactly
+    as by one call per block, and the indices are returned flat, block after
+    block.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cdf = np.cumsum(probs)
-    draws = np.searchsorted(cdf, rng.uniform(shots), side="right")
-    return np.minimum(draws, len(cdf) - 1)
+    cdf = np.cumsum(np.atleast_2d(probs), axis=1)
+    u = rng.uniform(len(cdf) * shots).reshape(len(cdf), shots)
+    draws = np.concatenate([np.searchsorted(c, row, side="right") for c, row in zip(cdf, u)])
+    return np.minimum(draws, cdf.shape[1] - 1)
 
 
 def sample_indices(state: QuantumState, shots: int, rng: Rng) -> np.ndarray:

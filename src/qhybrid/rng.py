@@ -4,23 +4,33 @@ The generator is pinned to this exact algorithm so that runs reproduce
 bit-for-bit across machines and across implementations. Floats are derived
 as ``(next_u64 >> 11) * 2**-53``, giving uniform doubles in [0, 1).
 
-Bulk generation goes through a numba-compiled kernel when numba is
-importable; otherwise a pure-Python loop produces the identical sequence.
+Raw words come from one of two paths, chosen by the size of the call; both
+yield the identical stream and leave the identical state behind.
+
+* The scalar path (:func:`_scalar_words`) steps the generator one word at a
+  time on Python integers. Calls below ``_LANE_MIN`` draws use it, where
+  array set-up would cost more than the loop, and the tests use it as the
+  reference.
+* The lane path (:func:`_lane_words`) serves larger calls. The xoshiro256++
+  state transition T is linear over GF(2), so T^m is a 256x256 bit matrix
+  (Blackman & Vigna, arXiv:1805.01407). The path cuts the n draws into L
+  lanes of C = 2^k consecutive steps, moves lane j to T^(jC) s with cached
+  jump tables T^(2^b), then steps all lanes together with uint64 array
+  operations. Read lane after lane, the outputs are the sequential stream.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_SCALE = 2.0**-53
+# Smallest call served by the lane path. Measured on a 2-core x86-64 box
+# with one BLAS thread: at 256 draws the scalar loop is still faster, from
+# 512 draws on the lanes are.
+_LANE_MIN = 512
 
 
 def _splitmix64(z: int) -> tuple[int, int]:
@@ -42,13 +52,13 @@ def _seed_state(seed: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-def _fill_uniform_py(state: np.ndarray, out: np.ndarray) -> None:
-    """Reference generator loop; bitwise-identical to the numba kernel."""
-    s0, s1, s2, s3 = (int(w) for w in state)
-    n = out.shape[0]
+def _scalar_words(state: np.ndarray, n: int) -> np.ndarray:
+    """The next n raw output words, one step at a time; advances state by n."""
+    s0, s1, s2, s3 = state.tolist()
+    out = np.empty(n, dtype=np.uint64)
     for i in range(n):
         tmp = (s0 + s3) & _MASK64
-        result = ((((tmp << 23) | (tmp >> 41)) & _MASK64) + s0) & _MASK64
+        out[i] = ((((tmp << 23) | (tmp >> 41)) & _MASK64) + s0) & _MASK64
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
@@ -56,40 +66,107 @@ def _fill_uniform_py(state: np.ndarray, out: np.ndarray) -> None:
         s0 ^= s3
         s2 ^= t
         s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        out[i] = (result >> 11) * _FLOAT_SCALE
-    state[0] = s0
-    state[1] = s1
-    state[2] = s2
-    state[3] = s3
+    state[:] = (s0, s1, s2, s3)
+    return out
 
 
-if _HAVE_NUMBA:
+def _step_lanes(s: np.ndarray) -> None:
+    """One xoshiro256++ state step, in place, for a (4, L) array of L states."""
+    s0, s1, s2, s3 = s
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    t = s3 << 45
+    s3 >>= 19
+    s3 |= t
 
-    @njit(cache=True)
-    def _fill_uniform_nb(state, out):  # pragma: no cover - exercised via Rng
-        s0 = state[0]
-        s1 = state[1]
-        s2 = state[2]
-        s3 = state[3]
-        for i in range(out.shape[0]):
-            tmp = s0 + s3
-            result = ((tmp << np.uint64(23)) | (tmp >> np.uint64(41))) + s0
-            t = s1 << np.uint64(17)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-            out[i] = np.float64(result >> np.uint64(11)) * 1.1102230246251565e-16
-        state[0] = s0
-        state[1] = s1
-        state[2] = s2
-        state[3] = s3
 
-    _fill_uniform = _fill_uniform_nb
-else:
-    _fill_uniform = _fill_uniform_py
+def _to_bits(states: np.ndarray) -> np.ndarray:
+    """(m, 4) uint64 states -> (m, 256) uint8 bits; bit 64*w + j is bit j of word w."""
+    raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little")
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_to_bits`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+# Every table T^(2^b) a 64-bit draw count can need, in one block reserved at
+# import; np.zeros leaves a page untouched until a table is written to it.
+# Small tables allocated one by one between large lane temporaries would sit
+# on the heap and keep the memory freed below them from being returned,
+# which raised peak RSS.
+_JUMP_TABLES = np.zeros((64, 256, 4), dtype=np.uint64)
+
+
+def _jump_table(b: int) -> np.ndarray:
+    """T^(2^b) as a (256, 4) uint64 array, one state per row; built on first use.
+
+    Row i is where the state whose only set bit is bit i lands after 2^b
+    steps, so T^(2^b) s is the XOR of the rows picked by the set bits of s.
+    T is invertible, so a built table is never all zero.
+    """
+    table = _JUMP_TABLES[b]
+    if not table.any():
+        if b == 0:
+            lanes = _from_bits(np.eye(256, dtype=np.uint8)).T.copy()
+            _step_lanes(lanes)
+            table[:] = lanes.T
+        else:
+            table[:] = _jump(_jump_table(b - 1), b - 1)
+    return table
+
+
+def _jump(states: np.ndarray, b: int) -> np.ndarray:
+    """Advance each row of an (m, 4) uint64 state array by 2^b steps."""
+    # float32 sums of at most 256 ones are exact; their parity is the XOR.
+    matrix = _to_bits(_jump_table(b)).astype(np.float32)
+    counts = _to_bits(states).astype(np.float32) @ matrix
+    return _from_bits((counts.astype(np.int32) & 1).astype(np.uint8))
+
+
+def _lane_steps(n: int) -> int:
+    """Lane length C for an n-draw call: a power of two near sqrt(n) / 2.
+
+    This balances the per-step numpy call overhead, paid C times, against
+    the cost of jumping, paid once per lane.
+    """
+    return 1 << max(n.bit_length() // 2 - 1, 0)
+
+
+def _lane_words(state: np.ndarray, n: int) -> np.ndarray:
+    """The next n raw output words, computed in lanes; advances state by n."""
+    steps = _lane_steps(n)
+    n_lanes = -(-n // steps)
+    starts = state.reshape(1, 4)
+    b = steps.bit_length() - 1
+    while len(starts) < n_lanes:
+        # Lanes [m, 2m) start m * steps = 2^b draws after lanes [0, m).
+        starts = np.concatenate([starts, _jump(starts, b)])
+        b += 1
+    s = starts[:n_lanes].T.copy()
+    s0 = np.empty((steps, n_lanes), dtype=np.uint64)
+    s3 = np.empty_like(s0)
+    last = n - (n_lanes - 1) * steps  # steps the last lane contributes
+    for i in range(steps):
+        if i == last:
+            state[:] = s[:, -1]
+        s0[i] = s[0]
+        s3[i] = s[3]
+        _step_lanes(s)
+    if last == steps:
+        state[:] = s[:, -1]
+    words = s0 + s3
+    rot = words >> 41
+    words <<= 23
+    words |= rot
+    words += s0
+    return words.T.ravel()[:n]
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -122,27 +199,15 @@ class Rng:
 
     def next_u64(self) -> int:
         """Draw one raw 64-bit word, advancing the stream by one step."""
-        s0, s1, s2, s3 = (int(w) for w in self._state)
-        tmp = (s0 + s3) & _MASK64
-        result = ((((tmp << 23) | (tmp >> 41)) & _MASK64) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._state[:] = (s0, s1, s2, s3)
-        return result
+        return int(_scalar_words(self._state, 1)[0])
 
     def uniform(self, n: int) -> np.ndarray:
         """n float64 values in [0, 1); advances the stream by exactly n draws."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        out = np.empty(n, dtype=np.float64)
-        if n:
-            _fill_uniform(self._state, out)
-        return out
+        words_of = _lane_words if n >= _LANE_MIN else _scalar_words
+        return (words_of(self._state, n) >> 11) * _FLOAT_SCALE
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n int64 values uniform over [0, bound), derived from uniform draws."""

@@ -11,6 +11,7 @@ from qhybrid.quantum import (
     apply_gate,
     marginals,
     sample_counts,
+    sample_from_probs,
     simulate,
 )
 from qhybrid.rng import Rng
@@ -227,6 +228,16 @@ def test_sampling_deterministic_per_seed():
     assert a == b
     assert isinstance(a, MeasurementCounts)
     assert a != c
+
+
+def test_stacked_sampling_matches_per_block_calls():
+    gen = np.random.default_rng(6)
+    probs = np.stack([simulate(random_circuit(gen, 5, 8)).probabilities() for _ in range(13)])
+    stacked_rng, loop_rng = Rng(12), Rng(12)
+    stacked = sample_from_probs(probs, 1024, stacked_rng)
+    per_block = np.concatenate([sample_from_probs(p, 1024, loop_rng) for p in probs])
+    assert np.array_equal(stacked, per_block)
+    assert np.array_equal(stacked_rng._state, loop_rng._state)
 
 
 def test_zero_shots_rejected():

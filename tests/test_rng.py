@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from qhybrid.rng import Rng, _fill_uniform_py
+from qhybrid.rng import _LANE_MIN, Rng, _jump, _lane_steps, _scalar_words
 
 # First eight outputs per seed, frozen as regression fixtures.
 PINNED = {
@@ -67,12 +68,43 @@ def test_bulk_matches_single_draw_path():
     assert np.array_equal(bulk, singles)
 
 
-def test_python_fallback_matches_fast_path():
-    fast = Rng(123).uniform(5000)
-    rng = Rng(123)
-    slow = np.empty(5000)
-    _fill_uniform_py(rng._state, slow)
-    assert np.array_equal(fast, slow)
+def _scalar_uniform(state, n):
+    return (_scalar_words(state, n) >> 11) * 2.0**-53
+
+
+# Sizes either side of the scalar/lane crossover, a whole number of lanes and
+# one draw past it, one sampled-mode row (13 blocks x 1024 shots), and the
+# 784x256 weight init.
+FALLBACK_SIZES = [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 4096, 4097, 13 * 1024, 784 * 256]
+
+
+@pytest.mark.parametrize("n", FALLBACK_SIZES)
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_python_fallback_matches_fast_path(seed, n):
+    assert 4096 % _lane_steps(4096) == 0 and 4097 % _lane_steps(4097) == 1
+    fast = Rng(seed)
+    got = fast.uniform(n)
+    slow = Rng(seed)
+    assert np.array_equal(got, _scalar_uniform(slow._state, n))
+    assert np.array_equal(fast._state, slow._state)
+
+
+def test_mixed_call_sizes_continue_one_stream():
+    sizes = [1, 3, 700, 2, _LANE_MIN, 16, 20_000, 5]
+    rng = Rng(77)
+    got = np.concatenate([rng.uniform(n) for n in sizes])
+    slow = Rng(77)
+    assert np.array_equal(got, _scalar_uniform(slow._state, sum(sizes)))
+    assert np.array_equal(rng._state, slow._state)
+
+
+@pytest.mark.parametrize("b", range(7))
+def test_jump_table_matches_scalar_steps(b):
+    states = _scalar_words(Rng(b).split("states")._state, 5 * 4).reshape(5, 4)
+    jumped = _jump(states, b)
+    for state, expected in zip(states, jumped):
+        _scalar_words(state, 2**b)
+        assert np.array_equal(state, expected)
 
 
 def test_uniform_range_and_count():
