@@ -6,6 +6,8 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .qfeatures import LAYOUTS, MODES
+
 
 class ConfigError(Exception):
     """Unparseable or invalid experiment configuration."""
@@ -105,16 +107,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"clf_dropout must be in [0, 1), got {cfg.clf_dropout}")
     if not 0.0 < cfg.lr_factor <= 1.0:
         raise ConfigError(f"lr_factor must be in (0, 1], got {cfg.lr_factor}")
-    if cfg.quantum_mode not in ("exact", "sampled"):
-        raise ConfigError(f"quantum_mode must be exact or sampled, got {cfg.quantum_mode!r}")
-    if cfg.quantum_layout not in ("marginal", "histogram"):
-        raise ConfigError(
-            f"quantum_layout must be marginal or histogram, got {cfg.quantum_layout!r}"
-        )
+    for key in ("ae_lr", "clf_lr"):
+        if not getattr(cfg, key) > 0.0:
+            raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
+    for key in ("rotate_max_deg", "shift_max_px"):
+        if not getattr(cfg, key) >= 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+    if cfg.quantum_mode not in MODES:
+        raise ConfigError(f"quantum_mode must be one of {MODES}, got {cfg.quantum_mode!r}")
+    if cfg.quantum_layout not in LAYOUTS:
+        raise ConfigError(f"quantum_layout must be one of {LAYOUTS}, got {cfg.quantum_layout!r}")
     if cfg.augment_stage not in ("ae", "clf", "both"):
         raise ConfigError(f"augment_stage must be ae, clf, or both, got {cfg.augment_stage!r}")
     if not cfg.clf_widths:
         raise ConfigError("clf_widths must name at least one hidden width")
+    if min(cfg.clf_widths) < 1:
+        raise ConfigError(f"clf_widths must all be >= 1, got {cfg.clf_widths}")
     if cfg.seed < 0 or cfg.seed >= 2**64:
         raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed}")
     if not 0.0 <= cfg.augment_prob <= 1.0:

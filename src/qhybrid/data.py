@@ -50,17 +50,6 @@ class RawDataset:
 
 
 @dataclass
-class VectorDataset:
-    """Flattened features in [0, 1] with one-hot labels."""
-
-    features: np.ndarray  # (N, 784) float64
-    labels_onehot: np.ndarray  # (N, 10) float64
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-
-@dataclass
 class AugmentSpec:
     """Random transform parameters; each transform fires independently."""
 
@@ -129,11 +118,9 @@ def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
     return out
 
 
-def normalize_and_flatten(raw: RawDataset) -> VectorDataset:
-    """Scale pixels by 1/255 and flatten each 28x28 grid row-major."""
-    n = len(raw)
-    features = raw.images.reshape(n, -1).astype(np.float64) / 255.0
-    return VectorDataset(features=features, labels_onehot=one_hot(raw.labels))
+def normalize_and_flatten(images: np.ndarray) -> np.ndarray:
+    """Scale (N, 28, 28) pixels by 1/255 and flatten each grid row-major."""
+    return images.reshape(len(images), -1).astype(np.float64) / 255.0
 
 
 def _rotate_nn(image: np.ndarray, angle_deg: float) -> np.ndarray:

@@ -118,11 +118,8 @@ class Network:
             layers.append(layer)
         return cls(layers)
 
-    def save(self, path, extra_entries=None) -> None:
-        entries = self.archive_entries()
-        if extra_entries:
-            entries.extend(extra_entries)
-        save_archive(entries, path)
+    def save(self, path) -> None:
+        save_archive(self.archive_entries(), path)
 
     @classmethod
     def load(cls, path) -> "Network":

@@ -16,10 +16,10 @@ import numpy as np
 
 from .archive import load_archive_dict, save_archive
 from .config import ExperimentConfig, require_data
-from .data import AugmentSpec, augment, load_raw_dataset, one_hot
+from .data import AugmentSpec, augment, load_raw_dataset, normalize_and_flatten, one_hot
 from .network import Autoencoder, Network, make_autoencoder, make_classifier
 from .optim import Adam
-from .qfeatures import ScalingStats, transform_features
+from .qfeatures import LAYOUTS, MODES, ScalingStats, transform_features
 from .reports import (
     evaluate_classifier,
     read_csv,
@@ -30,10 +30,6 @@ from .reports import (
 )
 from .rng import Rng
 from .train import train
-
-MODE_CODES = {"exact": 0.0, "sampled": 1.0}
-LAYOUT_CODES = {"marginal": 0.0, "histogram": 1.0}
-
 
 class StageError(Exception):
     """A pipeline stage failed; the message carries the stage name."""
@@ -102,10 +98,6 @@ def load_splits(cfg: ExperimentConfig) -> Splits:
     )
 
 
-def _flatten01(images: np.ndarray) -> np.ndarray:
-    return images.reshape(len(images), -1).astype(np.float64) / 255.0
-
-
 def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
     return AugmentSpec(
         rotate_max_deg=cfg.rotate_max_deg,
@@ -124,8 +116,8 @@ def _augment_images(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarr
 
 def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> None:
     rng = Rng(cfg.seed).split("train-ae")
-    x_train = _flatten01(splits.train_images)
-    x_val = _flatten01(splits.val_images)
+    x_train = normalize_and_flatten(splits.train_images)
+    x_val = normalize_and_flatten(splits.val_images)
     ae = make_autoencoder(rng.split("init"))
 
     epoch_features = None
@@ -134,7 +126,7 @@ def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> 
 
         def epoch_features(epoch: int) -> np.ndarray:
             fresh = _augment_images(splits.train_images, spec, rng.split(f"augment/{epoch}"))
-            return _flatten01(fresh)
+            return normalize_and_flatten(fresh)
 
     history = train(
         ae.net, x_train, None,
@@ -168,11 +160,11 @@ def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> No
         train_images = np.concatenate(blocks, axis=0)
         train_labels = np.tile(splits.train_labels, 1 + cfg.augment_copies)
     entries = [
-        ("latents/train", ae.encode(_flatten01(train_images))),
+        ("latents/train", ae.encode(normalize_and_flatten(train_images))),
         ("labels/train", train_labels.astype(np.float64)),
-        ("latents/val", ae.encode(_flatten01(splits.val_images))),
+        ("latents/val", ae.encode(normalize_and_flatten(splits.val_images))),
         ("labels/val", splits.val_labels.astype(np.float64)),
-        ("latents/test", ae.encode(_flatten01(splits.test_images))),
+        ("latents/test", ae.encode(normalize_and_flatten(splits.test_images))),
         ("labels/test", splits.test_labels.astype(np.float64)),
     ]
     save_archive(entries, paths.latents)
@@ -185,10 +177,10 @@ def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
     out = [
         ("qscale/min", stats.minimum),
         ("qscale/max", stats.maximum),
-        ("meta/mode", np.array([MODE_CODES[cfg.quantum_mode]])),
+        ("meta/mode", np.array([float(MODES.index(cfg.quantum_mode))])),
         ("meta/shots", np.array([float(cfg.shots)])),
         ("meta/seed", np.array([float(cfg.seed)])),
-        ("meta/layout", np.array([LAYOUT_CODES[cfg.quantum_layout]])),
+        ("meta/layout", np.array([float(LAYOUTS.index(cfg.quantum_layout))])),
     ]
     for split in ("train", "val", "test"):
         features = transform_features(

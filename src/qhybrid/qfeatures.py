@@ -2,10 +2,19 @@
 
 Each 64-wide latent row is min-max scaled to [0, 1] with statistics fitted
 on the training split, split into 13 blocks of 5 (the last slot padded with
-1.0, whose encoding angle is 0), and every block runs through the same
-5-qubit circuit: per-qubit Ry encoding rotations, a Hadamard layer, then a
-CNOT chain. The emitted features are per-qubit probabilities of measuring 1
-(exact marginals, or empirical frequencies over a shot budget).
+1.0, whose encoding angle is 0), and every block drives the same 5-qubit
+circuit: per-qubit Ry encoding rotations, a Hadamard layer, then a CNOT
+chain. The emitted features are per-qubit probabilities of measuring 1
+(exact marginals, or empirical frequencies over a shot budget), or the full
+32-outcome distribution of each block.
+
+Nothing is simulated here. Before the CNOT chain every qubit is in its own
+product state, and the chain only permutes basis states, so every outcome
+probability has a closed form (``block_probabilities``). The statevector
+simulator in ``quantum.py`` is the test oracle for it. The "quantum"
+features are therefore a cheap classical function of the latents; see
+Bowles, Ahmed & Schuld, arXiv:2403.07059, on benchmarking quantum models
+against classical ones.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ LATENT_WIDTH = 64
 BLOCK_SIZE = 5
 N_BLOCKS = 13  # ceil(64 / 5); the last block carries one pad slot
 PAD_VALUE = 1.0
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 MODES = ("exact", "sampled")
 LAYOUTS = ("marginal", "histogram")
@@ -79,44 +87,29 @@ def block_angles(scaled: np.ndarray) -> np.ndarray:
     return encode_angles(padded).reshape(n, N_BLOCKS, BLOCK_SIZE)
 
 
-def _simulate_blocks(thetas: np.ndarray) -> np.ndarray:
-    """Simulate the block circuit for M angle rows at once -> (M, 32) amplitudes.
+# The CNOT chain sends basis state i to prefix_xor(i), whose bit k is
+# bit 0 xor ... xor bit k of i; basis state j therefore comes from j ^ (j << 1).
+_CHAIN_SOURCE = np.array([j ^ (j << 1) % 2**BLOCK_SIZE for j in range(2**BLOCK_SIZE)])
 
-    Applies the same scalar arithmetic as the per-state simulator, so the
-    amplitudes agree bit-for-bit with simulate(build_block_circuit(...)).
+
+def block_probabilities(thetas: np.ndarray, layout: str) -> np.ndarray:
+    """Closed-form measurement probabilities of the block circuit.
+
+    thetas is (..., 5). After Ry(theta) and H every qubit is in its own
+    product state with p(1) = (1 - sin theta) / 2, and the CNOT chain only
+    permutes basis states, so nothing needs simulating:
+    layout="marginal" gives (..., 5) p_k(1) = (1 - prod_{j<=k} sin theta_j) / 2;
+    layout="histogram" gives the (..., 32) outcome distribution: the product
+    distribution, permuted by the CNOT chain.
     """
-    m = thetas.shape[0]
-    amps = np.zeros((m, 2**BLOCK_SIZE), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for target in range(BLOCK_SIZE):
-        c = np.cos(thetas[:, target] / 2.0)[:, None, None]
-        s = np.sin(thetas[:, target] / 2.0)[:, None, None]
-        view = amps.reshape(m, 2 ** (BLOCK_SIZE - 1 - target), 2, 2**target)
-        a0 = view[:, :, 0, :].copy()
-        a1 = view[:, :, 1, :]
-        view[:, :, 0, :] = c * a0 + (-s) * a1
-        view[:, :, 1, :] = s * a0 + c * a1
-    for target in range(BLOCK_SIZE):
-        view = amps.reshape(m, 2 ** (BLOCK_SIZE - 1 - target), 2, 2**target)
-        a0 = view[:, :, 0, :].copy()
-        a1 = view[:, :, 1, :]
-        view[:, :, 0, :] = _SQRT1_2 * a0 + _SQRT1_2 * a1
-        view[:, :, 1, :] = _SQRT1_2 * a0 + (-_SQRT1_2) * a1
-    idx = np.arange(2**BLOCK_SIZE)
-    for control in range(BLOCK_SIZE - 1):
-        target = control + 1
-        controlled = (idx >> control) & 1 == 1
-        src = amps.copy()
-        amps[:, controlled] = src[:, idx[controlled] ^ (1 << target)]
-    return amps
-
-
-_BIT_MASKS = [((np.arange(2**BLOCK_SIZE) >> k) & 1) == 1 for k in range(BLOCK_SIZE)]
-
-
-def _exact_marginals(probs: np.ndarray) -> np.ndarray:
-    """(M, 32) probabilities -> (M, 5) per-qubit p(1)."""
-    return np.stack([probs[:, mask].sum(axis=1) for mask in _BIT_MASKS], axis=1)
+    s = np.sin(thetas)
+    if layout == "marginal":
+        return (1.0 - np.cumprod(s, axis=-1)) / 2.0
+    p0, p1 = (1.0 + s) / 2.0, (1.0 - s) / 2.0
+    prod = np.ones(s.shape[:-1] + (1,))
+    for k in range(BLOCK_SIZE):  # qubit k becomes bit k of the product index
+        prod = np.concatenate([prod * p0[..., k, None], prod * p1[..., k, None]], axis=-1)
+    return np.take(prod, _CHAIN_SOURCE, axis=-1)
 
 
 def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = "exact",
@@ -126,7 +119,7 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
 
     layout="marginal" emits 5 per-qubit features per block (65 total);
     layout="histogram" emits the full 32-bin outcome distribution per block
-    (416 total). mode="exact" uses the statevector probabilities directly;
+    (416 total). mode="exact" emits the closed-form probabilities directly;
     mode="sampled" estimates them from ``shots`` measurements per block,
     with one child rng stream per sample so results are order-independent.
     """
@@ -148,30 +141,19 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
     n = latents.shape[0]
     thetas = block_angles(scale_unit(latents, stats))
     per_block = BLOCK_SIZE if layout == "marginal" else 2**BLOCK_SIZE
-    features = np.empty((n, N_BLOCKS * per_block))
+    if mode == "exact":
+        return block_probabilities(thetas, layout).reshape(n, N_BLOCKS * per_block)
 
-    chunk = 4096
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        rows = stop - start
-        amps = _simulate_blocks(thetas[start:stop].reshape(rows * N_BLOCKS, BLOCK_SIZE))
-        probs = np.abs(amps) ** 2
-        if mode == "exact":
-            if layout == "marginal":
-                block_feats = _exact_marginals(probs)
-            else:
-                block_feats = probs
-            features[start:stop] = block_feats.reshape(rows, -1)
+    features = np.empty((n, N_BLOCKS * per_block))
+    offsets = np.arange(N_BLOCKS)[:, None] * per_block
+    for i in range(n):
+        child = rng.split(f"sample/{i}")
+        probs = block_probabilities(thetas[i], "histogram")
+        indices = sample_from_probs(probs, shots, child).reshape(N_BLOCKS, shots)
+        if layout == "marginal":
+            bits = (indices[:, :, None] >> np.arange(BLOCK_SIZE)) & 1
+            features[i] = bits.mean(axis=1).ravel()
         else:
-            probs = probs.reshape(rows, N_BLOCKS, -1)
-            for i in range(rows):
-                child = rng.split(f"sample/{start + i}")
-                indices = sample_from_probs(probs[i], shots, child).reshape(N_BLOCKS, shots)
-                if layout == "marginal":
-                    bits = (indices[:, :, None] >> np.arange(BLOCK_SIZE)) & 1
-                    features[start + i] = bits.mean(axis=1).ravel()
-                else:
-                    offsets = np.arange(N_BLOCKS)[:, None] * per_block
-                    hist = np.bincount((indices + offsets).ravel(), minlength=N_BLOCKS * per_block)
-                    features[start + i] = hist / shots
+            hist = np.bincount((indices + offsets).ravel(), minlength=N_BLOCKS * per_block)
+            features[i] = hist / shots
     return features

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qhybrid.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from qhybrid.pipeline import StagePaths
@@ -41,6 +42,22 @@ def test_bad_config_key_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 3\n")
     assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rotate_max_deg", -5),
+    ("shift_max_px", -1),
+    ("clf_widths", "16, 0"),
+    ("ae_lr", -0.001),
+    ("clf_lr", 0),
+])
+def test_bad_config_value_is_exit_2_before_any_stage(make_config, tmp_path, capsys, key, value):
+    cfg = make_config(out_dir=tmp_path / "bad-value", augment="true", augment_stage="clf",
+                      **{key: value})
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "running" not in captured.out
 
 
 def test_missing_data_path_is_exit_2(tmp_path, capsys):

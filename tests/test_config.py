@@ -69,6 +69,18 @@ def test_validation_ranges():
         validate_config(ExperimentConfig(ae_batch=0))
     with pytest.raises(ConfigError, match="lr_factor"):
         validate_config(ExperimentConfig(lr_factor=0.0))
+    with pytest.raises(ConfigError, match="quantum_layout"):
+        validate_config(ExperimentConfig(quantum_layout="bloch"))
+    with pytest.raises(ConfigError, match="rotate_max_deg"):
+        validate_config(ExperimentConfig(rotate_max_deg=-1.0))
+    with pytest.raises(ConfigError, match="shift_max_px"):
+        validate_config(ExperimentConfig(shift_max_px=-2))
+    with pytest.raises(ConfigError, match="clf_widths"):
+        validate_config(ExperimentConfig(clf_widths=(16, 0)))
+    with pytest.raises(ConfigError, match="ae_lr"):
+        validate_config(ExperimentConfig(ae_lr=-0.001))
+    with pytest.raises(ConfigError, match="clf_lr"):
+        validate_config(ExperimentConfig(clf_lr=0.0))
 
 
 def test_referenced_paths_must_exist(tmp_path):

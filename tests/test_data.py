@@ -12,6 +12,7 @@ from qhybrid.data import (
     augment,
     batch_iter,
     normalize_and_flatten,
+    one_hot,
     parse_idx_images,
     parse_idx_labels,
 )
@@ -83,22 +84,24 @@ def test_normalize_and_flatten_values():
     images[0, 0, 0] = 255
     images[0, 0, 1] = 128
     images[0, 2, 3] = 51
-    ds = normalize_and_flatten(RawDataset(images, np.array([4], dtype=np.uint8)))
-    assert ds.features[0, 0] == 1.0
-    assert ds.features[0, 1] == pytest.approx(128 / 255)
-    assert ds.features[0, 2 * 28 + 3] == pytest.approx(0.2)
-    assert ds.features[0, 5] == 0.0
-    assert ds.labels_onehot[0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    features = normalize_and_flatten(images)
+    assert features.shape == (1, 784) and features.dtype == np.float64
+    assert features[0, 0] == 1.0
+    assert features[0, 1] == pytest.approx(128 / 255)
+    assert features[0, 2 * 28 + 3] == pytest.approx(0.2)
+    assert features[0, 5] == 0.0
+    assert one_hot(np.array([4], dtype=np.uint8))[0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
 
 
 def test_normalize_bounds_and_onehot_rows():
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(20, 28, 28)).astype(np.uint8)
     labels = rng.integers(0, 10, size=20).astype(np.uint8)
-    ds = normalize_and_flatten(RawDataset(images, labels))
-    assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-    assert np.array_equal(ds.labels_onehot.sum(axis=1), np.ones(20))
-    assert np.array_equal((ds.labels_onehot == 1.0).sum(axis=1), np.ones(20))
+    features = normalize_and_flatten(images)
+    assert features.min() >= 0.0 and features.max() <= 1.0
+    onehot = one_hot(labels)
+    assert np.array_equal(onehot.sum(axis=1), np.ones(20))
+    assert np.array_equal((onehot == 1.0).sum(axis=1), np.ones(20))
 
 
 def _asym_image():

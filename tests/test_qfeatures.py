@@ -4,7 +4,6 @@ import pytest
 from qhybrid.qfeatures import (
     N_BLOCKS,
     ScalingStats,
-    _simulate_blocks,
     block_angles,
     build_block_circuit,
     encode_angles,
@@ -85,13 +84,27 @@ def test_ghz_chain_marginals():
     assert np.max(np.abs(marginals(state) - 0.5)) < 1e-12
 
 
-def test_batch_simulation_bitwise_matches_per_sample_path():
-    rng = np.random.default_rng(17)
-    thetas = rng.uniform(0, np.pi, size=(8, 5))
-    batch = _simulate_blocks(thetas)
-    for i in range(8):
-        state = simulate(build_block_circuit(thetas[i]))
-        assert np.array_equal(batch[i], state.amplitudes)
+@pytest.mark.parametrize("layout", ["marginal", "histogram"])
+def test_closed_form_matches_statevector_oracle(layout):
+    # x = 1, 1/sqrt(2), 0 encode theta = 0, pi/2, pi; every row also carries
+    # the pad slot (theta = 0) as its last qubit
+    latents = Rng(12).uniform(6 * 64).reshape(6, 64)
+    latents[0] = 1.0
+    latents[1] = SQRT1_2
+    latents[2] = 0.0
+    latents[3, ::3] = [1.0, SQRT1_2, 0.0] * 7 + [1.0]
+    stats = unit_stats()
+    feats = transform_features(latents, stats, layout=layout)
+    thetas = block_angles(scale_unit(latents, stats))
+    assert {0.0, np.pi}.issubset(thetas.ravel().tolist())
+    assert np.any(np.abs(thetas - np.pi / 2) < 1e-15)
+    for r in range(len(latents)):
+        states = [simulate(build_block_circuit(t)) for t in thetas[r]]
+        if layout == "marginal":
+            expected = np.concatenate([marginals(s) for s in states])
+        else:
+            expected = np.concatenate([s.probabilities() for s in states])
+        assert np.max(np.abs(feats[r] - expected)) <= 1e-14
 
 
 def test_scale_unit_maps_to_unit_interval():
