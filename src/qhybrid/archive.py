@@ -11,6 +11,7 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -56,7 +57,20 @@ def save_archive(entries, path) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write bytes to a temp file beside ``path``, then rename it into place,
+    so a reader never sees a half-written file under the final name."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_archive(path) -> list[tuple[str, np.ndarray]]:
@@ -91,7 +105,3 @@ def load_archive(path) -> list[tuple[str, np.ndarray]]:
         data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
         entries.append((name, data.astype(np.float64, copy=True)))
     return entries
-
-
-def load_archive_dict(path) -> dict[str, np.ndarray]:
-    return dict(load_archive(path))

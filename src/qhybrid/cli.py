@@ -14,16 +14,13 @@ from .archive import ArchiveError
 from .config import ConfigError, load_config, validate_config
 from .data import IdxFormatError
 from .pipeline import (
+    FEATURE_SETS,
+    STAGES,
+    PipelineRun,
     StageError,
     StagePaths,
     check_thresholds,
-    load_splits,
     run_pipeline,
-    stage_encode,
-    stage_eval,
-    stage_qtransform,
-    stage_train_ae,
-    stage_train_clf,
 )
 
 EXIT_OK = 0
@@ -41,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the config output directory")
     parser.add_argument("--force", action="store_true",
-                        help="re-run pipeline stages even when outputs exist")
+                        help="re-run stages even when their cached outputs match the config "
+                             "and inputs")
     parser.add_argument("--check", action="store_true",
                         help="after running, fail (exit 3) if metrics miss their floors")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("qtransform", help="run the quantum feature transform over latents")
     for verb in ("train-clf", "eval"):
         p = sub.add_parser(verb, help=f"{verb} on a chosen feature set")
-        p.add_argument("--features", choices=("latent", "quantum"), default="quantum")
+        p.add_argument("--features", choices=FEATURE_SETS, default="quantum")
     sub.add_parser("pipeline", help="run every stage end to end with caching")
     return parser
 
@@ -62,47 +60,26 @@ def _run(args) -> int:
     if args.out is not None:
         cfg.out_dir = args.out
     validate_config(cfg)
-    paths = StagePaths(cfg.out_dir)
-    paths.out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "pipeline":
-        summary = run_pipeline(cfg, force=args.force)
-        print(summary, end="")
-    elif args.command == "train-ae":
-        stage_train_ae(cfg, paths, load_splits(cfg))
-        print(f"autoencoder written to {paths.ae_model}")
-    elif args.command == "encode":
-        _require(paths.ae_model, "train-ae")
-        stage_encode(cfg, paths, load_splits(cfg))
-        print(f"latents written to {paths.latents}")
-    elif args.command == "qtransform":
-        _require(paths.latents, "encode")
-        stage_qtransform(cfg, paths)
-        print(f"quantum features written to {paths.qfeatures}")
-    elif args.command == "train-clf":
-        _require(paths.latents, "encode")
-        if args.features == "quantum":
-            _require(paths.qfeatures, "qtransform")
-        stage_train_clf(cfg, paths, args.features)
-        print(f"classifier written to {paths.clf_model[args.features]}")
-    elif args.command == "eval":
-        _require(paths.clf_model[args.features], f"train-clf --features {args.features}")
-        stage_eval(cfg, paths, args.features)
-        print(f"evaluation written to {paths.eval_metrics_csv[args.features]}")
+        print(run_pipeline(cfg, force=args.force), end="")
+    else:
+        features = getattr(args, "features", None)
+        name = {"train-clf": f"clf-{features}", "eval": f"eval-{features}"}.get(
+            args.command, args.command)
+        run = PipelineRun(cfg, force=args.force)
+        run.run_stage(name)
+        for path in STAGES[name].outputs(run.paths):
+            print(f"output: {path}")
 
     if args.check:
-        failures = check_thresholds(cfg, paths)
+        failures = check_thresholds(cfg, StagePaths(cfg.out_dir))
         if failures:
             for failure in failures:
                 print(f"check failed: {failure}", file=sys.stderr)
             return EXIT_CHECK
         print("all checks passed")
     return EXIT_OK
-
-
-def _require(path, producer: str) -> None:
-    if not path.exists():
-        raise StageError(f"missing artifact {path}; run `{producer}` first")
 
 
 def main(argv=None) -> int:

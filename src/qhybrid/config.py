@@ -55,7 +55,7 @@ class ExperimentConfig:
     check_quantum_val_acc: float = 0.60
 
 
-_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def _coerce(key: str, text: str, kind):
@@ -127,7 +127,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed}")
     if not 0.0 <= cfg.augment_prob <= 1.0:
         raise ConfigError(f"augment_prob must be in [0, 1], got {cfg.augment_prob}")
-    for key in _PATH_KEYS:
+    for key in PATH_KEYS:
         value = getattr(cfg, key)
         if value and not Path(value).exists():
             raise ConfigError(f"{key} path does not exist: {value}")
@@ -143,6 +143,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def require_data(cfg: ExperimentConfig) -> None:
-    missing = [key for key in _PATH_KEYS if not getattr(cfg, key)]
+    missing = [key for key in PATH_KEYS if not getattr(cfg, key)]
     if missing:
         raise ConfigError(f"config must set data paths: {', '.join(missing)}")

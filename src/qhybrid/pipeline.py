@@ -2,20 +2,26 @@
 
 Every stage derives its randomness from Rng(seed).split(<stage label>), so
 stages are independent of execution order and re-runs are byte-identical.
-Stage outputs live under one output directory; the pipeline re-runs a stage
-when its outputs are missing, when --force is given, or when an upstream
-stage ran in this invocation.
+``STAGES`` is the one table of the stage graph. A stage's key hashes the
+config fields it reads, the sha256 of the data files among them and the keys
+its deps had when it ran; ``stages.json`` in the output directory records it.
+A stage re-runs when an output is missing, its key changed, --force is given,
+or an upstream stage ran.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from .archive import load_archive_dict, save_archive
-from .config import ExperimentConfig, require_data
+from .archive import load_archive, save_archive, write_atomic
+from .config import PATH_KEYS, ExperimentConfig, require_data
 from .data import AugmentSpec, augment, load_raw_dataset, normalize_and_flatten, one_hot
 from .network import Autoencoder, Network, make_autoencoder, make_classifier
 from .optim import Adam
@@ -30,6 +36,9 @@ from .reports import (
 )
 from .rng import Rng
 from .train import train
+
+FEATURE_SETS = ("latent", "quantum")
+
 
 class StageError(Exception):
     """A pipeline stage failed; the message carries the stage name."""
@@ -46,23 +55,13 @@ class StagePaths:
         self.recon_dir = self.out_dir / "recon"
         self.latents = self.out_dir / "latents.qhm"
         self.qfeatures = self.out_dir / "qfeatures.qhm"
-        self.clf_model = {
-            "latent": self.out_dir / "clf_latent.qhm",
-            "quantum": self.out_dir / "clf_quantum.qhm",
-        }
-        self.clf_history_csv = {
-            "latent": self.out_dir / "clf_latent_history.csv",
-            "quantum": self.out_dir / "clf_quantum_history.csv",
-        }
-        self.eval_confusion_csv = {
-            "latent": self.out_dir / "eval_latent_confusion.csv",
-            "quantum": self.out_dir / "eval_quantum_confusion.csv",
-        }
-        self.eval_metrics_csv = {
-            "latent": self.out_dir / "eval_latent_metrics.csv",
-            "quantum": self.out_dir / "eval_quantum_metrics.csv",
-        }
+        out = self.out_dir
+        self.clf_model = {w: out / f"clf_{w}.qhm" for w in FEATURE_SETS}
+        self.clf_history_csv = {w: out / f"clf_{w}_history.csv" for w in FEATURE_SETS}
+        self.eval_confusion_csv = {w: out / f"eval_{w}_confusion.csv" for w in FEATURE_SETS}
+        self.eval_metrics_csv = {w: out / f"eval_{w}_metrics.csv" for w in FEATURE_SETS}
         self.summary = self.out_dir / "summary.txt"
+        self.manifest = self.out_dir / "stages.json"
 
 
 @dataclass
@@ -171,7 +170,7 @@ def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> No
 
 
 def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
-    entries = load_archive_dict(paths.latents)
+    entries = dict(load_archive(paths.latents))
     stats = ScalingStats.fit(entries["latents/train"])
     rng = Rng(cfg.seed).split("qtransform")
     out = [
@@ -195,10 +194,10 @@ def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
 
 def _features_for(which: str, paths: StagePaths):
     if which == "latent":
-        entries = load_archive_dict(paths.latents)
+        entries = dict(load_archive(paths.latents))
         key = "latents"
     elif which == "quantum":
-        entries = load_archive_dict(paths.qfeatures)
+        entries = dict(load_archive(paths.qfeatures))
         key = "qfeat"
     else:
         raise ValueError(f"feature set must be latent or quantum, got {which!r}")
@@ -257,7 +256,7 @@ def _metric_map(path) -> dict[str, float]:
 
 
 def stage_summary(cfg: ExperimentConfig, paths: StagePaths) -> str:
-    entries = load_archive_dict(paths.latents)
+    entries = dict(load_archive(paths.latents))
     ae_final = _final_history_row(paths.ae_loss_csv)
     lines = [
         "hybrid quantum-classical experiment summary",
@@ -295,76 +294,155 @@ def stage_summary(cfg: ExperimentConfig, paths: StagePaths) -> str:
             )
         )
     text = "\n".join(lines) + "\n"
-    paths.summary.write_text(text, encoding="utf-8")
+    write_atomic(paths.summary, text.encode("utf-8"))
     return text
 
 
-_STAGE_DEPS = {
-    "train-ae": (),
-    "encode": ("train-ae",),
-    "qtransform": ("encode",),
-    "clf-latent": ("encode",),
-    "clf-quantum": ("qtransform",),
-    "eval-latent": ("clf-latent",),
-    "eval-quantum": ("clf-quantum",),
-    "summary": ("eval-latent", "eval-quantum"),
-}
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage graph."""
 
-_STAGE_ORDER = tuple(_STAGE_DEPS)
+    name: str
+    deps: tuple[str, ...]
+    outputs: Callable[[StagePaths], tuple[Path, ...]]
+    run: Callable  # (fields, paths, split loader); fields holds only ``reads``
+    reads: tuple[str, ...]  # the config fields the stage reads
 
 
-def _stage_outputs(name: str, paths: StagePaths) -> tuple[Path, ...]:
-    return {
-        "train-ae": (paths.ae_model, paths.ae_loss_csv),
-        "encode": (paths.latents,),
-        "qtransform": (paths.qfeatures,),
-        "clf-latent": (paths.clf_model["latent"], paths.clf_history_csv["latent"]),
-        "clf-quantum": (paths.clf_model["quantum"], paths.clf_history_csv["quantum"]),
-        "eval-latent": (paths.eval_confusion_csv["latent"], paths.eval_metrics_csv["latent"]),
-        "eval-quantum": (paths.eval_confusion_csv["quantum"], paths.eval_metrics_csv["quantum"]),
-        "summary": (paths.summary,),
-    }[name]
+_SPLIT_FIELDS = (*PATH_KEYS, "seed", "train_subset", "val_fraction")
+_AUGMENT_FIELDS = ("augment", "augment_stage", "rotate_max_deg", "shift_max_px", "hflip",
+                   "augment_prob")
+_QUANTUM_FIELDS = ("seed", "quantum_mode", "shots", "quantum_layout")
+_CLF_FIELDS = ("seed", "clf_widths", "clf_dropout", "clf_epochs", "clf_batch", "clf_lr",
+               "lr_step", "lr_factor")
+
+STAGES = {stage.name: stage for stage in (
+    Stage("train-ae", (), lambda p: (p.ae_model, p.ae_loss_csv),
+          lambda cfg, p, splits: stage_train_ae(cfg, p, splits(cfg)),
+          (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "ae_epochs", "ae_batch", "ae_lr", "lr_step",
+           "lr_factor")),
+    Stage("encode", ("train-ae",), lambda p: (p.latents,),
+          lambda cfg, p, splits: stage_encode(cfg, p, splits(cfg)),
+          (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "augment_copies")),
+    Stage("qtransform", ("encode",), lambda p: (p.qfeatures,),
+          lambda cfg, p, _: stage_qtransform(cfg, p), _QUANTUM_FIELDS),
+    Stage("clf-latent", ("encode",),
+          lambda p: (p.clf_model["latent"], p.clf_history_csv["latent"]),
+          lambda cfg, p, _: stage_train_clf(cfg, p, "latent"), _CLF_FIELDS),
+    Stage("clf-quantum", ("qtransform",),
+          lambda p: (p.clf_model["quantum"], p.clf_history_csv["quantum"]),
+          lambda cfg, p, _: stage_train_clf(cfg, p, "quantum"), _CLF_FIELDS),
+    Stage("eval-latent", ("clf-latent",),
+          lambda p: (p.eval_confusion_csv["latent"], p.eval_metrics_csv["latent"]),
+          lambda cfg, p, _: stage_eval(cfg, p, "latent"), ()),
+    Stage("eval-quantum", ("clf-quantum",),
+          lambda p: (p.eval_confusion_csv["quantum"], p.eval_metrics_csv["quantum"]),
+          lambda cfg, p, _: stage_eval(cfg, p, "quantum"), ()),
+    Stage("summary", ("eval-latent", "eval-quantum"), lambda p: (p.summary,),
+          lambda cfg, p, _: stage_summary(cfg, p), (*_QUANTUM_FIELDS, "ae_epochs")),
+)}
+
+
+def _sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        # 64 KiB chunks stay under malloc's mmap threshold; 1 MiB chunks raised
+        # it and left the later training arrays a peak RSS 4 MB higher
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class PipelineRun:
+    """One invocation over an output directory: runs stages by name and
+    serves a stage from the cache when its record in stages.json matches."""
+
+    def __init__(self, cfg: ExperimentConfig, *, force: bool = False, log=print):
+        self.cfg, self.force, self.log = cfg, force, log
+        self.paths = StagePaths(cfg.out_dir)
+        self.paths.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.records = json.loads(self.paths.manifest.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):
+            self.records = {}
+        self.ran: set[str] = set()
+        self._digests: dict[str, str] | None = None  # sha256 per data path key
+        self._splits: Splits | None = None
+
+    def run_stage(self, name: str) -> None:
+        """Run the named stage, or log that it is cached."""
+        stage = STAGES[name]
+        for dep in stage.deps:
+            for path in STAGES[dep].outputs(self.paths):
+                if not path.exists():
+                    raise StageError(f"{name}: missing artifact {path}; run `{dep}` first")
+        record = self._record(stage)
+        reason = self._why_run(stage, record)
+        if reason is None:
+            self.log(f"[{name}] cached")
+            return
+        self.log(f"[{name}] running: {reason}")
+        # a stage that fails partway must leave no record its old outputs match
+        if self.records.pop(name, None) is not None:
+            self._save_records()
+        try:
+            stage.run(SimpleNamespace(**record["reads"]), self.paths, self._load_splits)
+        except Exception as exc:
+            raise StageError(f"{name}: {exc}") from exc
+        self.records[name] = record
+        self._save_records()
+        self.ran.add(name)
+
+    def _record(self, stage: Stage) -> dict:
+        data_files = [field for field in stage.reads if field in PATH_KEYS]
+        if data_files and self._digests is None:
+            require_data(self.cfg)
+            self._digests = {key: _sha256_file(getattr(self.cfg, key)) for key in PATH_KEYS}
+        # the JSON round trip makes it compare equal to its copy read back
+        # from stages.json (tuples become lists)
+        record = json.loads(json.dumps({
+            "reads": {field: getattr(self.cfg, field) for field in stage.reads},
+            "inputs": {field: self._digests[field] for field in data_files},
+            "deps": {dep: self.records.get(dep, {}).get("key") for dep in stage.deps},
+        }))
+        record["key"] = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        return record
+
+    def _why_run(self, stage: Stage, record: dict) -> str | None:
+        """The reason the stage must run, or None when it is cached."""
+        old = self.records.get(stage.name)
+        if self.force:
+            return "--force"
+        if old is None:
+            return "no record"
+        if not all(path.exists() for path in stage.outputs(self.paths)):
+            return "output missing"
+        changed = [f for f in stage.reads if old["reads"].get(f) != record["reads"][f]]
+        if changed:
+            return f"{', '.join(changed)} changed"
+        if old["inputs"] != record["inputs"]:
+            return "input changed"
+        if old["deps"] != record["deps"] or self.ran.intersection(stage.deps):
+            return "upstream ran"
+        return None
+
+    def _load_splits(self, fields) -> Splits:
+        if self._splits is None:
+            self._splits = load_splits(fields)
+        return self._splits
+
+    def _save_records(self) -> None:
+        text = json.dumps(self.records, indent=2, sort_keys=True) + "\n"
+        write_atomic(self.paths.manifest, text.encode("utf-8"))
 
 
 def run_pipeline(cfg: ExperimentConfig, *, force: bool = False, log=print) -> str:
-    """Run train-ae -> encode -> qtransform -> classifiers -> evals -> summary
-    with per-stage caching; returns the summary text."""
-    paths = StagePaths(cfg.out_dir)
-    paths.out_dir.mkdir(parents=True, exist_ok=True)
-    splits_box: list[Splits] = []
-
-    def splits() -> Splits:
-        if not splits_box:
-            splits_box.append(load_splits(cfg))
-        return splits_box[0]
-
-    runners = {
-        "train-ae": lambda: stage_train_ae(cfg, paths, splits()),
-        "encode": lambda: stage_encode(cfg, paths, splits()),
-        "qtransform": lambda: stage_qtransform(cfg, paths),
-        "clf-latent": lambda: stage_train_clf(cfg, paths, "latent"),
-        "clf-quantum": lambda: stage_train_clf(cfg, paths, "quantum"),
-        "eval-latent": lambda: stage_eval(cfg, paths, "latent"),
-        "eval-quantum": lambda: stage_eval(cfg, paths, "quantum"),
-        "summary": lambda: stage_summary(cfg, paths),
-    }
-
-    ran: set[str] = set()
-    for name in _STAGE_ORDER:
-        missing = any(not p.exists() for p in _stage_outputs(name, paths))
-        upstream_ran = any(dep in ran for dep in _STAGE_DEPS[name])
-        if force or missing or upstream_ran:
-            log(f"[{name}] running")
-            try:
-                runners[name]()
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(f"{name}: {exc}") from exc
-            ran.add(name)
-        else:
-            log(f"[{name}] cached")
-    return paths.summary.read_text(encoding="utf-8")
+    """Run every stage in table order with per-stage caching; returns the
+    summary text."""
+    run = PipelineRun(cfg, force=force, log=log)
+    for name in STAGES:
+        run.run_stage(name)
+    return run.paths.summary.read_text(encoding="utf-8")
 
 
 def check_thresholds(cfg: ExperimentConfig, paths: StagePaths) -> list[str]:

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .archive import write_atomic
 from .losses import cross_entropy_loss
 from .network import Network
+from .train import evaluate
 
 
 def _csv_cell(value) -> str:
@@ -26,7 +28,7 @@ def write_csv(path, header, rows) -> None:
     lines = [",".join(_csv_cell(cell) for cell in header)]
     for row in rows:
         lines.append(",".join(_csv_cell(cell) for cell in row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -44,7 +46,7 @@ def write_pgm(path, image: np.ndarray) -> None:
         raise ValueError(f"PGM needs a 2-D image, got shape {image.shape}")
     pixels = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    write_atomic(path, header + pixels.tobytes())
 
 
 def confusion_matrix(true_idx: np.ndarray, pred_idx: np.ndarray,
@@ -69,19 +71,8 @@ def evaluate_classifier(net: Network, x: np.ndarray, y_onehot: np.ndarray,
                         batch_size: int = 1024) -> EvalReport:
     if len(x) != len(y_onehot):
         raise ValueError(f"feature/label count mismatch: {len(x)} vs {len(y_onehot)}")
-    net.eval()
-    n_classes = y_onehot.shape[1]
-    preds = np.empty(len(x), dtype=np.int64)
-    loss_sum = 0.0
-    for start in range(0, len(x), batch_size):
-        xb = x[start : start + batch_size]
-        yb = y_onehot[start : start + batch_size]
-        probs = net.forward(xb)
-        loss, _ = cross_entropy_loss(yb, probs)
-        loss_sum += loss * len(xb)
-        preds[start : start + len(xb)] = probs.argmax(axis=1)
-    true = y_onehot.argmax(axis=1)
-    confusion = confusion_matrix(true, preds, n_classes)
+    loss, preds = evaluate(net, x, y_onehot, cross_entropy_loss, batch_size=batch_size)
+    confusion = confusion_matrix(y_onehot.argmax(axis=1), preds, y_onehot.shape[1])
     diag = np.diag(confusion).astype(np.float64)
     col_sums = confusion.sum(axis=0)
     row_sums = confusion.sum(axis=1)
@@ -93,7 +84,7 @@ def evaluate_classifier(net: Network, x: np.ndarray, y_onehot: np.ndarray,
         precision=precision,
         recall=recall,
         confusion=confusion,
-        loss=loss_sum / len(x),
+        loss=loss,
     )
 
 

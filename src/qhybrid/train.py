@@ -22,27 +22,20 @@ class EpochRecord:
     val_acc: float | None = None
 
 
-def _accuracy(probs: np.ndarray, y_onehot: np.ndarray) -> float:
-    return float(np.mean(probs.argmax(axis=1) == y_onehot.argmax(axis=1)))
-
-
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, loss_fn, *,
-             classify: bool = False, batch_size: int = 1024):
-    """Inference-mode loss (and accuracy when classifying) over a full set."""
+             batch_size: int = 1024) -> tuple[float, np.ndarray]:
+    """Inference-mode loss over a full set, in batches; returns the mean loss
+    against ``y`` and each row's argmax output."""
     net.eval()
-    total, correct = 0.0, 0.0
+    total = 0.0
+    preds = np.empty(len(x), dtype=np.int64)
     for start in range(0, len(x), batch_size):
         xb = x[start : start + batch_size]
-        yb = y[start : start + batch_size]
         out = net.forward(xb)
-        loss, _ = loss_fn(yb, out)
+        loss, _ = loss_fn(y[start : start + batch_size], out)
         total += loss * len(xb)
-        if classify:
-            correct += float(np.sum(out.argmax(axis=1) == yb.argmax(axis=1)))
-    n = len(x)
-    if classify:
-        return total / n, correct / n
-    return total / n, None
+        preds[start : start + len(xb)] = out.argmax(axis=1)
+    return total / len(x), preds
 
 
 def train(net: Network, x: np.ndarray, y: np.ndarray | None, *, epochs: int,
@@ -85,10 +78,9 @@ def train(net: Network, x: np.ndarray, y: np.ndarray | None, *, epochs: int,
         if classify:
             record.train_acc = acc_sum / n
         if x_val is not None:
-            val_target = y_val if classify else x_val
-            record.val_loss, record.val_acc = evaluate(
-                net, x_val, val_target, loss_fn, classify=classify
-            )
+            record.val_loss, preds = evaluate(net, x_val, y_val if classify else x_val, loss_fn)
+            if classify:
+                record.val_acc = float(np.sum(preds == y_val.argmax(axis=1))) / len(x_val)
         if log is not None:
             log(record)
         history.append(record)

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from qhybrid.archive import (
     TruncatedArchiveError,
     load_archive,
     save_archive,
+    write_atomic,
 )
 from qhybrid.rng import Rng
 
@@ -98,3 +100,17 @@ def test_empty_name_rejected(tmp_path):
 def test_zero_size_dimension_rejected(tmp_path):
     with pytest.raises(ArchiveError):
         save_archive([("x", np.ones((0, 3)))], tmp_path / "z.qhm")
+
+
+def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "a.csv"
+    write_atomic(path, b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_atomic(path, b"new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]

@@ -50,6 +50,7 @@ def test_bad_config_key_is_exit_2(tmp_path, capsys):
     ("clf_widths", "16, 0"),
     ("ae_lr", -0.001),
     ("clf_lr", 0),
+    ("train_images", ""),
 ])
 def test_bad_config_value_is_exit_2_before_any_stage(make_config, tmp_path, capsys, key, value):
     cfg = make_config(out_dir=tmp_path / "bad-value", augment="true", augment_stage="clf",

@@ -1,11 +1,18 @@
+import dataclasses
+import json
+import os
+import re
+
 import numpy as np
 import pytest
+from helpers import write_synthetic_idx
 
-from qhybrid.archive import load_archive_dict
-from qhybrid.config import load_config
+from qhybrid.archive import load_archive
+from qhybrid.cli import EXIT_OK, main
+from qhybrid.config import ExperimentConfig, load_config
 from qhybrid.losses import mse_loss
 from qhybrid.network import Autoencoder
-from qhybrid.pipeline import StagePaths, load_splits, run_pipeline
+from qhybrid.pipeline import STAGES, StageError, StagePaths, load_splits, run_pipeline
 from qhybrid.reports import read_csv
 
 ARTIFACTS = [
@@ -77,11 +84,11 @@ def test_all_artifacts_written(finished_run):
 
 def test_latent_and_quantum_shapes(finished_run):
     _, paths, _ = finished_run
-    latents = load_archive_dict(paths.latents)
+    latents = dict(load_archive(paths.latents))
     assert latents["latents/train"].shape == (234, 64)
     assert latents["latents/val"].shape == (26, 64)
     assert latents["latents/test"].shape == (100, 64)
-    qfeat = load_archive_dict(paths.qfeatures)
+    qfeat = dict(load_archive(paths.qfeatures))
     assert qfeat["qfeat/train"].shape == (234, 65)
     assert qfeat["qfeat/test"].shape == (100, 65)
     assert qfeat["qscale/min"].shape == (64,)
@@ -108,7 +115,7 @@ def test_decoded_latents_reproduce_reported_val_mse(finished_run):
     # autoencoder history's final validation MSE
     cfg, paths, _ = finished_run
     ae = Autoencoder.load(paths.ae_model)
-    latents = load_archive_dict(paths.latents)
+    latents = dict(load_archive(paths.latents))
     splits = load_splits(cfg)
     x_val = splits.val_images.reshape(len(splits.val_images), -1) / 255.0
     recon = ae.decode(latents["latents/val"])
@@ -193,7 +200,7 @@ def test_sampled_mode_records_metadata(make_config):
     cfg = load_config(make_config(quantum_mode="sampled", shots=64, ae_epochs=1,
                                   clf_epochs=1))
     run_pipeline(cfg, log=_quiet)
-    qfeat = load_archive_dict(StagePaths(cfg.out_dir).qfeatures)
+    qfeat = dict(load_archive(StagePaths(cfg.out_dir).qfeatures))
     assert qfeat["meta/mode"][0] == 1.0
     assert qfeat["meta/shots"][0] == 64.0
 
@@ -219,9 +226,115 @@ def test_augmented_encode_expands_training_rows(make_config, tmp_path):
     splits = load_splits(cfg)
     stage_train_ae(cfg, paths, splits)
     stage_encode(cfg, paths, splits)
-    entries = load_archive_dict(paths.latents)
+    entries = dict(load_archive(paths.latents))
     assert entries["latents/train"].shape == (234 * 3, 64)
     assert entries["labels/train"].shape == (234 * 3,)
     # originals keep their leading positions, labels replicate in order
     assert np.array_equal(entries["labels/train"][:234], entries["labels/train"][234:468])
     assert entries["latents/val"].shape == (26, 64)
+
+
+def _tree(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def _stage_status(lines):
+    """Map each stage to the text after its bracketed name, one line each."""
+    status = {}
+    for line in lines:
+        m = re.fullmatch(r"\[([a-z-]+)\] (cached|running: .+)", line)
+        if m:
+            assert m[1] in STAGES and m[1] not in status, line
+            status[m[1]] = m[2]
+    assert list(status) == list(STAGES)
+    return status
+
+
+def _cold_tree(make_config, tmp_path, **settings):
+    cfg = load_config(make_config(name="cold.cfg", out_dir=tmp_path / "cold", **settings))
+    run_pipeline(cfg, log=_quiet)
+    return _tree(tmp_path / "cold")
+
+
+@pytest.mark.parametrize("key, value, cached", [
+    ("seed", 7, set()),
+    ("clf_epochs", 2, {"train-ae", "encode", "qtransform"}),
+])
+def test_changed_config_reruns_exactly_the_stages_that_read_it(
+        make_config, tmp_path, capsys, key, value, cached):
+    settings = {"ae_epochs": 1, "clf_epochs": 1}
+    cfg = make_config(out_dir=tmp_path / "warm", **settings)
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+    capsys.readouterr()
+    cfg = make_config(out_dir=tmp_path / "warm", **{**settings, key: value})
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+    out = capsys.readouterr().out
+    status = _stage_status(out.splitlines())
+    assert {name for name, text in status.items() if text == "cached"} == cached
+    assert status["train-ae" if key == "seed" else "clf-latent"] == f"running: {key} changed"
+    if key == "seed":
+        assert "seed: 7" in out
+    assert _tree(tmp_path / "warm") == _cold_tree(make_config, tmp_path,
+                                                  **{**settings, key: value})
+
+
+def test_stage_verb_run_invalidates_downstream(make_config, tmp_path, capsys):
+    cfg = make_config(out_dir=tmp_path / "warm", ae_epochs=1, clf_epochs=1)
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+    cfg = make_config(out_dir=tmp_path / "warm", ae_epochs=2, clf_epochs=1)
+    assert main(["--config", str(cfg), "train-ae"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK
+    status = _stage_status(capsys.readouterr().out.splitlines())
+    assert status.pop("train-ae") == "cached"
+    assert status.pop("encode") == "running: upstream ran"
+    assert all(text.startswith("running") for text in status.values())
+    assert _tree(tmp_path / "warm") == _cold_tree(make_config, tmp_path,
+                                                  ae_epochs=2, clf_epochs=1)
+
+
+def test_changed_data_file_reruns_every_stage(make_config, tmp_path):
+    data = write_synthetic_idx(tmp_path, n_train=260, n_test=100)
+    cfg = load_config(make_config(out_dir=tmp_path / "warm", ae_epochs=1, clf_epochs=1, **data))
+    run_pipeline(cfg, log=_quiet)
+    write_synthetic_idx(tmp_path, n_train=260, n_test=100, seed=778)  # same paths, new bytes
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    status = _stage_status(lines)
+    assert status["train-ae"] == status["encode"] == "running: input changed"
+    assert all(text.startswith("running") for text in status.values())
+
+
+def test_failed_stage_leaves_no_temp_file_and_no_key(make_config, tmp_path, monkeypatch):
+    out_dir = tmp_path / "warm"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    before = _tree(out_dir)
+    real_replace = os.replace
+
+    def replace_failing_on_history(src, dst):
+        if os.path.basename(dst) == "clf_quantum_history.csv":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_on_history)
+    changed = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=2))
+    with pytest.raises(StageError, match="clf-quantum"):
+        run_pipeline(changed, log=_quiet)
+    monkeypatch.undo()
+    assert not [p for p in out_dir.rglob("*") if p.name.endswith(".tmp")]
+    records = json.loads(StagePaths(out_dir).manifest.read_text())
+    assert "clf-quantum" not in records
+    # clf_quantum.qhm was replaced before the failure; the old config must
+    # not be served it from the cache
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert _stage_status(lines)["clf-quantum"] == "running: no record"
+    assert _tree(out_dir) == before
+
+
+def test_every_config_field_is_read_by_some_stage():
+    read = {field for stage in STAGES.values() for field in stage.reads}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert read == {f for f in fields if f != "out_dir" and not f.startswith("check_")}
