@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Verbs: train-ae, encode, qtransform, train-clf, eval, pipeline.
+Verbs: train-ae, encode, qtransform, train-clf, eval, pipeline. Each verb
+names a target stage; it runs that stage and every stage upstream of it,
+each served from the cache when its record still matches.
 Exit codes: 0 success, 1 internal error, 2 bad config/data,
 3 threshold failure under --check.
 """
@@ -16,7 +18,6 @@ from .data import IdxFormatError
 from .pipeline import (
     FEATURE_SETS,
     STAGES,
-    PipelineRun,
     StageError,
     StagePaths,
     check_thresholds,
@@ -38,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the config output directory")
     parser.add_argument("--force", action="store_true",
-                        help="re-run stages even when their cached outputs match the config "
-                             "and inputs")
+                        help="re-run every stage the verb runs, even when its cached outputs "
+                             "match the config and inputs")
     parser.add_argument("--check", action="store_true",
                         help="after running, fail (exit 3) if metrics miss their floors")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,9 +68,8 @@ def _run(args) -> int:
         features = getattr(args, "features", None)
         name = {"train-clf": f"clf-{features}", "eval": f"eval-{features}"}.get(
             args.command, args.command)
-        run = PipelineRun(cfg, force=args.force)
-        run.run_stage(name)
-        for path in STAGES[name].outputs(run.paths):
+        run_pipeline(cfg, name, force=args.force)
+        for path in STAGES[name].outputs(StagePaths(cfg.out_dir)):
             print(f"output: {path}")
 
     if args.check:

@@ -129,8 +129,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"augment_prob must be in [0, 1], got {cfg.augment_prob}")
     for key in PATH_KEYS:
         value = getattr(cfg, key)
-        if value and not Path(value).exists():
-            raise ConfigError(f"{key} path does not exist: {value}")
+        if value and not Path(value).is_file():
+            raise ConfigError(f"{key} is not a file: {value}")
     return cfg
 
 

@@ -73,7 +73,7 @@ def _maybe_gunzip(raw: bytes) -> bytes:
     return raw
 
 
-def parse_idx_images(raw: bytes, *, require_28x28: bool = True) -> np.ndarray:
+def parse_idx_images(raw: bytes) -> np.ndarray:
     """Parse an IDX image file into a (N, rows, cols) uint8 array."""
     raw = _maybe_gunzip(raw)
     if len(raw) < 16:
@@ -81,7 +81,7 @@ def parse_idx_images(raw: bytes, *, require_28x28: bool = True) -> np.ndarray:
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IMAGE_MAGIC:
         raise IdxFormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-    if require_28x28 and (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
+    if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
         raise IdxFormatError(f"expected 28x28 images, got {rows}x{cols}")
     expected = 16 + count * rows * cols
     if len(raw) != expected:

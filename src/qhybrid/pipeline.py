@@ -6,7 +6,9 @@ stages are independent of execution order and re-runs are byte-identical.
 config fields it reads, the sha256 of the data files among them and the keys
 its deps had when it ran; ``stages.json`` in the output directory records it.
 A stage re-runs when an output is missing, its key changed, --force is given,
-or an upstream stage ran.
+or an upstream stage ran. ``run_pipeline`` runs a target stage together with
+every stage it depends on, so no stage is served from outputs built from
+another config.
 """
 
 from __future__ import annotations
@@ -370,12 +372,9 @@ class PipelineRun:
         self._splits: Splits | None = None
 
     def run_stage(self, name: str) -> None:
-        """Run the named stage, or log that it is cached."""
+        """Run the named stage, or log that it is cached. Its deps must have
+        been through run_stage first; run_pipeline sees to that."""
         stage = STAGES[name]
-        for dep in stage.deps:
-            for path in STAGES[dep].outputs(self.paths):
-                if not path.exists():
-                    raise StageError(f"{name}: missing artifact {path}; run `{dep}` first")
         record = self._record(stage)
         reason = self._why_run(stage, record)
         if reason is None:
@@ -436,13 +435,23 @@ class PipelineRun:
         write_atomic(self.paths.manifest, text.encode("utf-8"))
 
 
-def run_pipeline(cfg: ExperimentConfig, *, force: bool = False, log=print) -> str:
-    """Run every stage in table order with per-stage caching; returns the
-    summary text."""
+def run_pipeline(cfg: ExperimentConfig, target: str = "summary", *, force: bool = False,
+                 log=print) -> str | None:
+    """Run the target stage and every stage it depends on, directly or through
+    other stages, in table order with per-stage caching; --force re-runs each
+    of them. Returns the summary text when the target is ``summary``."""
     run = PipelineRun(cfg, force=force, log=log)
+    needed = {target}
+    # a dep always sits earlier in STAGES, so one backward pass closes the set
+    for name in reversed(STAGES):
+        if name in needed:
+            needed.update(STAGES[name].deps)
     for name in STAGES:
-        run.run_stage(name)
-    return run.paths.summary.read_text(encoding="utf-8")
+        if name in needed:
+            run.run_stage(name)
+    if target == "summary":
+        return run.paths.summary.read_text(encoding="utf-8")
+    return None
 
 
 def check_thresholds(cfg: ExperimentConfig, paths: StagePaths) -> list[str]:

@@ -1,8 +1,7 @@
 """Statevector simulator for Ry/H/CNOT circuits with measurement sampling.
 
 Amplitude index convention: basis state index i encodes qubit k as bit k of
-i, so qubit 0 is the least significant bit. Bitstring keys in measurement
-counts are printed most-significant qubit first.
+i, so qubit 0 is the least significant bit.
 """
 
 from __future__ import annotations
@@ -92,14 +91,6 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass
-class MeasurementCounts:
-    """Bitstring -> occurrence count over a fixed number of shots."""
-
-    shots: int
-    counts: dict[str, int]
-
-
 def _apply_single(amps: np.ndarray, n: int, target: int, m00, m01, m10, m11) -> None:
     # Pairs differing only in the target bit sit 2**target apart.
     view = amps.reshape(2 ** (n - 1 - target), 2, 2**target)
@@ -166,13 +157,3 @@ def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng) -> np.ndarray:
 def sample_indices(state: QuantumState, shots: int, rng: Rng) -> np.ndarray:
     """shots i.i.d. basis-state indices from the state's outcome distribution."""
     return sample_from_probs(state.probabilities(), shots, rng)
-
-
-def sample_counts(state: QuantumState, shots: int, rng: Rng) -> MeasurementCounts:
-    """Histogram of sampled bitstrings, most-significant qubit first."""
-    indices = sample_indices(state, shots, rng)
-    n = state.n_qubits
-    counts: dict[str, int] = {}
-    for idx, cnt in zip(*np.unique(indices, return_counts=True)):
-        counts[format(int(idx), f"0{n}b")] = int(cnt)
-    return MeasurementCounts(shots=shots, counts=counts)

@@ -191,12 +191,6 @@ class Rng:
     def __init__(self, seed: int):
         self._state = _seed_state(int(seed))
 
-    @classmethod
-    def _from_state(cls, state: np.ndarray) -> "Rng":
-        rng = cls.__new__(cls)
-        rng._state = state
-        return rng
-
     def next_u64(self) -> int:
         """Draw one raw 64-bit word, advancing the stream by one step."""
         return int(_scalar_words(self._state, 1)[0])

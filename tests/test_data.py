@@ -40,11 +40,10 @@ def test_parse_images_truncated_by_one_byte():
         parse_idx_images(idx_image_bytes(images)[:-1])
 
 
-def test_parse_images_rejects_wrong_geometry_unless_permissive():
+def test_parse_images_rejects_wrong_geometry():
     raw = struct.pack(">IIII", 0x00000803, 1, 14, 14) + bytes(196)
     with pytest.raises(IdxFormatError, match="28x28"):
         parse_idx_images(raw)
-    assert parse_idx_images(raw, require_28x28=False).shape == (1, 14, 14)
 
 
 def test_parse_images_gzip_detected():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,15 +240,16 @@ def _tree(out_dir):
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
-def _stage_status(lines):
-    """Map each stage to the text after its bracketed name, one line each."""
+def _stage_status(lines, stages=tuple(STAGES)):
+    """Map each stage to the text after its bracketed name, one line each;
+    exactly ``stages`` print a line, in that order."""
     status = {}
     for line in lines:
         m = re.fullmatch(r"\[([a-z-]+)\] (cached|running: .+)", line)
         if m:
             assert m[1] in STAGES and m[1] not in status, line
             status[m[1]] = m[2]
-    assert list(status) == list(STAGES)
+    assert list(status) == list(stages)
     return status
 
 
@@ -294,6 +296,21 @@ def test_stage_verb_run_invalidates_downstream(make_config, tmp_path, capsys):
                                                   ae_epochs=2, clf_epochs=1)
 
 
+def test_stage_verb_reruns_its_stale_upstream(make_config, tmp_path, capsys):
+    settings = {"ae_epochs": 1, "clf_epochs": 1}
+    cfg = make_config(out_dir=tmp_path / "warm", **settings)
+    assert main(["--config", str(cfg), "--seed", "7", "pipeline"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "eval", "--features", "latent"]) == EXIT_OK
+    status = _stage_status(capsys.readouterr().out.splitlines(),
+                           ("train-ae", "encode", "clf-latent", "eval-latent"))
+    assert status["train-ae"] == "running: seed changed"
+    assert all(text.startswith("running") for text in status.values())
+    warm, cold = _tree(tmp_path / "warm"), _cold_tree(make_config, tmp_path, **settings)
+    for name in ("eval_latent_confusion.csv", "eval_latent_metrics.csv"):
+        assert warm[Path(name)] == cold[Path(name)]
+
+
 def test_changed_data_file_reruns_every_stage(make_config, tmp_path):
     data = write_synthetic_idx(tmp_path, n_train=260, n_test=100)
     cfg = load_config(make_config(out_dir=tmp_path / "warm", ae_epochs=1, clf_epochs=1, **data))
@@ -338,3 +355,11 @@ def test_every_config_field_is_read_by_some_stage():
     read = {field for stage in STAGES.values() for field in stage.reads}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert read == {f for f in fields if f != "out_dir" and not f.startswith("check_")}
+
+
+def test_every_dep_names_an_earlier_stage():
+    # run_pipeline closes a target's deps in one backward pass over the table
+    earlier = set()
+    for name, stage in STAGES.items():
+        assert set(stage.deps) <= earlier, name
+        earlier.add(name)
