@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run every stage the verb runs, even when its cached outputs "
                              "match the config and inputs")
     parser.add_argument("--check", action="store_true",
-                        help="after running, fail (exit 3) if metrics miss their floors")
+                        help="after running, fail (exit 3) if the verb's stages miss their floors")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train-ae", help="train the autoencoder stage")
     sub.add_parser("encode", help="cache latent features from the trained autoencoder")
@@ -62,18 +62,18 @@ def _run(args) -> int:
         cfg.out_dir = args.out
     validate_config(cfg)
 
-    if args.command == "pipeline":
+    features = getattr(args, "features", None)
+    target = {"pipeline": "summary", "train-clf": f"clf-{features}",
+              "eval": f"eval-{features}"}.get(args.command, args.command)
+    if target == "summary":
         print(run_pipeline(cfg, force=args.force), end="")
     else:
-        features = getattr(args, "features", None)
-        name = {"train-clf": f"clf-{features}", "eval": f"eval-{features}"}.get(
-            args.command, args.command)
-        run_pipeline(cfg, name, force=args.force)
-        for path in STAGES[name].outputs(StagePaths(cfg.out_dir)):
+        run_pipeline(cfg, target, force=args.force)
+        for path in STAGES[target].outputs(StagePaths(cfg.out_dir)):
             print(f"output: {path}")
 
     if args.check:
-        failures = check_thresholds(cfg, StagePaths(cfg.out_dir))
+        failures = check_thresholds(cfg, StagePaths(cfg.out_dir), target)
         if failures:
             for failure in failures:
                 print(f"check failed: {failure}", file=sys.stderr)

@@ -3,6 +3,10 @@
 IDX files are big-endian: a 32-bit magic, dimension sizes, then raw bytes.
 Gzip-compressed files are detected by their 0x1f 0x8b prefix and inflated
 transparently.
+
+Augmentation transforms whole (N, 28, 28) stacks. Each enabled transform
+draws a fixed count of uniforms per image, and a stack is drawn in chunks of
+AUGMENT_CHUNK images that consume the stream as per-image draws would.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 IMAGE_SIDE = 28
 N_CLASSES = 10
+# Images per rng.uniform call in augment; it bounds the int64 index temporaries
+AUGMENT_CHUNK = 1024
 
 
 class IdxFormatError(ValueError):
@@ -123,61 +129,58 @@ def normalize_and_flatten(images: np.ndarray) -> np.ndarray:
     return images.reshape(len(images), -1).astype(np.float64) / 255.0
 
 
-def _rotate_nn(image: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate about the grid center with nearest-neighbor resampling."""
-    side = image.shape[0]
-    center = (side - 1) / 2.0
-    theta = np.deg2rad(angle_deg)
+def _gather(images: np.ndarray, src_r: np.ndarray, src_c: np.ndarray) -> np.ndarray:
+    """out[i, r, c] = images[i, src_r, src_c], read from a zero border where
+    the source falls off the grid; the index arrays broadcast to (N, 28, 28)."""
+    padded = np.pad(images, ((0, 0), (1, 1), (1, 1)))
+    stack = np.arange(len(images))[:, None, None]
+    return padded[stack, np.clip(src_r, -1, IMAGE_SIDE) + 1, np.clip(src_c, -1, IMAGE_SIDE) + 1]
+
+
+def _rotate(images: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
+    """Rotate image i by angles_deg[i] about the grid center, nearest neighbor."""
+    center = (IMAGE_SIDE - 1) / 2.0
+    theta = np.deg2rad(angles_deg)[:, None, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    rows, cols = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     # Sample the source at the inverse rotation of each output coordinate.
-    y = rows - center
-    x = cols - center
+    y = np.arange(IMAGE_SIDE)[:, None] - center
+    x = np.arange(IMAGE_SIDE) - center
     src_r = np.rint(cos_t * y - sin_t * x + center).astype(np.int64)
     src_c = np.rint(sin_t * y + cos_t * x + center).astype(np.int64)
-    valid = (src_r >= 0) & (src_r < side) & (src_c >= 0) & (src_c < side)
-    out = np.zeros_like(image)
-    out[valid] = image[src_r[valid], src_c[valid]]
-    return out
+    return _gather(images, src_r, src_c)
 
 
-def _shift(image: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Move content by dx columns and dy rows; vacated pixels become 0."""
-    out = np.zeros_like(image)
-    side = image.shape[0]
-    src_r0, src_r1 = max(0, -dy), min(side, side - dy)
-    src_c0, src_c1 = max(0, -dx), min(side, side - dx)
-    if src_r0 < src_r1 and src_c0 < src_c1:
-        out[src_r0 + dy : src_r1 + dy, src_c0 + dx : src_c1 + dx] = image[
-            src_r0:src_r1, src_c0:src_c1
-        ]
-    return out
+def _shift(images: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Move image i by dx[i] columns and dy[i] rows; vacated pixels become 0."""
+    grid = np.arange(IMAGE_SIDE)
+    return _gather(images, grid[:, None] - dy[:, None, None], grid - dx[:, None, None])
 
 
-def augment(image: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
-    """Apply rotation, shift, and horizontal flip, each with spec.probability.
+def augment(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
+    """Apply rotation, shift, and horizontal flip to an (N, 28, 28) stack;
+    each transform fires on each image with spec.probability.
 
-    Draw order is fixed (rotate, shift, flip) so a given rng state always
-    produces the same transform. Disabled transforms draw no randomness.
+    Per image, in stack order, each enabled transform draws a fixed count
+    whatever its gate: rotate 2 (gate, angle), shift 3 (gate, dx, dy), flip 1
+    (gate). One rng.uniform call serves each chunk of AUGMENT_CHUNK images,
+    which consumes the stream exactly as one call per image would.
     """
-    out = image
-    if spec.rotate_max_deg > 0:
-        gate, u = rng.uniform(2)
-        if gate < spec.probability:
-            angle = (2.0 * u - 1.0) * spec.rotate_max_deg
-            out = _rotate_nn(out, angle)
-    if spec.shift_max_px > 0:
-        gate, ux, uy = rng.uniform(3)
-        if gate < spec.probability:
-            span = 2 * spec.shift_max_px + 1
-            dx = min(int(ux * span), span - 1) - spec.shift_max_px
-            dy = min(int(uy * span), span - 1) - spec.shift_max_px
-            out = _shift(out, dx, dy)
-    if spec.hflip_enabled:
-        (gate,) = rng.uniform(1)
-        if gate < spec.probability:
-            out = out[:, ::-1]
-    return out.copy() if out is image else out
+    enabled = np.repeat([spec.rotate_max_deg > 0, spec.shift_max_px > 0, spec.hflip_enabled],
+                        [2, 3, 1])
+    span = 2 * spec.shift_max_px + 1
+    out = images.copy()
+    for start in range(0, len(out), AUGMENT_CHUNK):
+        chunk = out[start : start + AUGMENT_CHUNK]  # a view, so writes land in out
+        # columns: rotate gate, angle, shift gate, dx, dy, flip gate; a disabled
+        # transform draws none of its columns and its gate reads 1.0, which never fires
+        u = np.ones((len(chunk), 6))
+        u[:, enabled] = rng.uniform(len(chunk) * enabled.sum()).reshape(len(chunk), -1)
+        rotate, shift, flip = (u[:, [0, 2, 5]] < spec.probability).T
+        chunk[rotate] = _rotate(chunk[rotate], (2.0 * u[rotate, 1] - 1.0) * spec.rotate_max_deg)
+        dx, dy = np.minimum((u[shift, 3:5] * span).astype(np.int64), span - 1).T
+        chunk[shift] = _shift(chunk[shift], dx - spec.shift_max_px, dy - spec.shift_max_px)
+        chunk[flip] = chunk[flip][:, :, ::-1]
+    return out
 
 
 def batch_iter(features: np.ndarray, labels: np.ndarray, batch_size: int, *,

@@ -108,13 +108,6 @@ def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
     )
 
 
-def _augment_images(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
-    out = np.empty_like(images)
-    for i in range(len(images)):
-        out[i] = augment(images[i], spec, rng)
-    return out
-
-
 def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> None:
     rng = Rng(cfg.seed).split("train-ae")
     x_train = normalize_and_flatten(splits.train_images)
@@ -126,7 +119,7 @@ def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> 
         spec = _augment_spec(cfg)
 
         def epoch_features(epoch: int) -> np.ndarray:
-            fresh = _augment_images(splits.train_images, spec, rng.split(f"augment/{epoch}"))
+            fresh = augment(splits.train_images, spec, rng.split(f"augment/{epoch}"))
             return normalize_and_flatten(fresh)
 
     history = train(
@@ -155,10 +148,9 @@ def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> No
         # originals keep their leading positions
         spec = _augment_spec(cfg)
         rng = Rng(cfg.seed).split("encode-augment")
-        blocks = [train_images]
-        for c in range(cfg.augment_copies):
-            blocks.append(_augment_images(splits.train_images, spec, rng.split(f"copy/{c}")))
-        train_images = np.concatenate(blocks, axis=0)
+        copies = [augment(train_images, spec, rng.split(f"copy/{c}"))
+                  for c in range(cfg.augment_copies)]
+        train_images = np.concatenate([train_images, *copies], axis=0)
         train_labels = np.tile(splits.train_labels, 1 + cfg.augment_copies)
     entries = [
         ("latents/train", ae.encode(normalize_and_flatten(train_images))),
@@ -435,37 +427,46 @@ class PipelineRun:
         write_atomic(self.paths.manifest, text.encode("utf-8"))
 
 
-def run_pipeline(cfg: ExperimentConfig, target: str = "summary", *, force: bool = False,
-                 log=print) -> str | None:
-    """Run the target stage and every stage it depends on, directly or through
-    other stages, in table order with per-stage caching; --force re-runs each
-    of them. Returns the summary text when the target is ``summary``."""
-    run = PipelineRun(cfg, force=force, log=log)
+def stage_closure(target: str) -> list[str]:
+    """The target and every stage it depends on, directly or through other
+    stages, in table order."""
     needed = {target}
     # a dep always sits earlier in STAGES, so one backward pass closes the set
     for name in reversed(STAGES):
         if name in needed:
             needed.update(STAGES[name].deps)
-    for name in STAGES:
-        if name in needed:
-            run.run_stage(name)
+    return [name for name in STAGES if name in needed]
+
+
+def run_pipeline(cfg: ExperimentConfig, target: str = "summary", *, force: bool = False,
+                 log=print) -> str | None:
+    """Run stage_closure(target) with per-stage caching; --force re-runs each
+    of those stages. Returns the summary text when the target is ``summary``."""
+    run = PipelineRun(cfg, force=force, log=log)
+    for name in stage_closure(target):
+        run.run_stage(name)
     if target == "summary":
         return run.paths.summary.read_text(encoding="utf-8")
     return None
 
 
-def check_thresholds(cfg: ExperimentConfig, paths: StagePaths) -> list[str]:
-    """Compare recorded metrics against the config's --check floors."""
+def check_thresholds(cfg: ExperimentConfig, paths: StagePaths, target: str) -> list[str]:
+    """Compare recorded metrics against the --check floors of the stages in
+    the target's closure; no history outside it is read."""
+    closure = stage_closure(target)
     failures = []
-    ae_final = _final_history_row(paths.ae_loss_csv)
-    if not ae_final or not np.isfinite(ae_final.get("val_mse", np.nan)):
-        failures.append("autoencoder history records no validation MSE")
-    elif ae_final["val_mse"] > cfg.check_ae_val_mse:
-        failures.append(
-            f"autoencoder val MSE {ae_final['val_mse']:.6f} > {cfg.check_ae_val_mse}"
-        )
+    if "train-ae" in closure:
+        ae_final = _final_history_row(paths.ae_loss_csv)
+        if not ae_final or not np.isfinite(ae_final.get("val_mse", np.nan)):
+            failures.append("autoencoder history records no validation MSE")
+        elif ae_final["val_mse"] > cfg.check_ae_val_mse:
+            failures.append(
+                f"autoencoder val MSE {ae_final['val_mse']:.6f} > {cfg.check_ae_val_mse}"
+            )
     for which, floor in (("latent", cfg.check_latent_val_acc),
                          ("quantum", cfg.check_quantum_val_acc)):
+        if f"clf-{which}" not in closure:
+            continue
         hist = _final_history_row(paths.clf_history_csv[which])
         if not hist:
             failures.append(f"{which} classifier history is empty")

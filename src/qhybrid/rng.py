@@ -203,12 +203,6 @@ class Rng:
         words_of = _lane_words if n >= _LANE_MIN else _scalar_words
         return (words_of(self._state, n) >> 11) * _FLOAT_SCALE
 
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """n int64 values uniform over [0, bound), derived from uniform draws."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), consuming n-1 draws."""
         perm = np.arange(n, dtype=np.int64)

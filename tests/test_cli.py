@@ -103,6 +103,33 @@ def test_check_mode_pass_with_loose_floors(make_config, tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_check_judges_only_the_verbs_stages(make_config, tmp_path, capsys):
+    out_dir = tmp_path / "chk-scope"
+    cfg = make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1)
+    assert main(["--config", str(cfg), "--seed", "7", "pipeline"]) == EXIT_OK
+    # classifier floors only a perfect one-epoch classifier meets: reading the
+    # seed-7 classifier histories left in out_dir would fail the check
+    strict = make_config(name="strict.cfg", out_dir=out_dir, ae_epochs=1, clf_epochs=1,
+                         check_ae_val_mse=1.0, check_latent_val_acc=1.0,
+                         check_quantum_val_acc=1.0)
+    capsys.readouterr()
+    assert main(["--config", str(strict), "--check", "train-ae"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "all checks passed" in captured.out
+    assert "check failed" not in captured.err
+    # the latent classifier's floor is judged once its stage is in the verb's closure
+    code = main(["--config", str(strict), "--check", "train-clf", "--features", "latent"])
+    assert code == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert "latent val accuracy" in err and "quantum" not in err
+
+
+def test_check_on_encode_in_empty_out_dir(make_config, tmp_path, capsys):
+    cfg = make_config(out_dir=tmp_path / "chk-encode", ae_epochs=1, check_ae_val_mse=1.0)
+    assert main(["--config", str(cfg), "--check", "encode"]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_seed_override_changes_artifacts(make_config, tmp_path):
     results = []
     for seed, name in ((1, "s1"), (2, "s2")):

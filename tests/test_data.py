@@ -1,14 +1,18 @@
 import gzip
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from qhybrid.data import (
+    AUGMENT_CHUNK,
     AugmentSpec,
     IdxFormatError,
     IdxTruncatedError,
     RawDataset,
+    _rotate,
+    _shift,
     augment,
     batch_iter,
     normalize_and_flatten,
@@ -18,7 +22,7 @@ from qhybrid.data import (
 )
 from qhybrid.rng import Rng
 
-from helpers import idx_image_bytes, idx_label_bytes
+from helpers import idx_image_bytes, idx_label_bytes, synthetic_digits
 
 
 def test_parse_images_minimal_fixture():
@@ -113,15 +117,15 @@ def _asym_image():
 def test_augment_identity_spec_is_exact_identity():
     spec = AugmentSpec(rotate_max_deg=0.0, shift_max_px=0, hflip_enabled=False)
     img = _asym_image()
-    out = augment(img, spec, Rng(0))
-    assert np.array_equal(out, img)
+    out = augment(img[None], spec, Rng(0))
+    assert np.array_equal(out, img[None])
 
 
 def test_augment_hflip_mirrors_columns():
     spec = AugmentSpec(rotate_max_deg=0.0, shift_max_px=0, hflip_enabled=True,
                        probability=1.0)
     img = _asym_image()
-    out = augment(img, spec, Rng(0))
+    (out,) = augment(img[None], spec, Rng(0))
     assert out[10, 27 - 10] == 1.0
     assert out[4, 27 - 20] == 0.5
     assert out.sum() == img.sum()
@@ -131,57 +135,99 @@ def test_augment_double_hflip_is_identity():
     spec = AugmentSpec(rotate_max_deg=0.0, shift_max_px=0, hflip_enabled=True,
                        probability=1.0)
     img = _asym_image()
-    once = augment(img, spec, Rng(0))
+    once = augment(img[None], spec, Rng(0))
     twice = augment(once, spec, Rng(0))
-    assert np.array_equal(twice, img)
+    assert np.array_equal(twice, img[None])
 
 
 def test_shift_moves_hot_pixel():
-    from qhybrid.data import _shift
-
     img = np.zeros((28, 28))
     img[10, 10] = 1.0
-    out = _shift(img, 2, 0)
+    (out,) = _shift(img[None], np.array([2]), np.array([0]))
     assert out[10, 12] == 1.0
     assert out.sum() == 1.0
+    # a stack: each image moves by its own offset
+    out = _shift(np.stack([img] * 3), np.array([2, 0, -3]), np.array([0, 1, 0]))
+    assert out[0, 10, 12] == out[1, 11, 10] == out[2, 10, 7] == 1.0
+    assert out.sum(axis=(1, 2)).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_shift_drops_out_of_bounds():
-    from qhybrid.data import _shift
-
     img = np.zeros((28, 28))
     img[0, 27] = 1.0
-    assert _shift(img, 1, 0).sum() == 0.0
+    assert _shift(img[None], np.array([1]), np.array([0])).sum() == 0.0
+    out = _shift(np.stack([img] * 3), np.array([1, 0, 0]), np.array([0, -1, 0]))
+    assert out.sum(axis=(1, 2)).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_rotation_zero_angle_exact():
-    from qhybrid.data import _rotate_nn
-
     img = np.random.default_rng(1).random((28, 28))
-    assert np.array_equal(_rotate_nn(img, 0.0), img)
+    assert np.array_equal(_rotate(img[None], np.array([0.0])), img[None])
+    stack = np.random.default_rng(2).random((3, 28, 28))
+    assert np.array_equal(_rotate(stack, np.zeros(3)), stack)
 
 
 def test_rotation_90_moves_mass_consistently():
-    from qhybrid.data import _rotate_nn
-
     img = np.zeros((28, 28))
     img[13, 20] = 1.0  # right of center
-    out = _rotate_nn(img, 90.0)
+    (out,) = _rotate(img[None], np.array([90.0]))
     assert out.sum() == 1.0
     r, c = np.argwhere(out == 1.0)[0]
     # a quarter turn moves the hot pixel onto the vertical axis
     assert abs(int(c) - 13) <= 1 and int(r) != 13
+    # a stack: turns either way land on opposite sides; a zero angle keeps the image
+    out = _rotate(np.stack([img] * 3), np.array([90.0, -90.0, 0.0]))
+    assert out.sum(axis=(1, 2)).tolist() == [1.0, 1.0, 1.0]
+    (r0, c0), (r1, c1) = np.argwhere(out[0] == 1.0)[0], np.argwhere(out[1] == 1.0)[0]
+    assert abs(int(c0) - 13) <= 1 and abs(int(c1) - 13) <= 1
+    assert (int(r0) - 13.5) * (int(r1) - 13.5) < 0
+    assert np.array_equal(out[2], img)
 
 
 def test_augment_deterministic_per_seed():
     spec = AugmentSpec(rotate_max_deg=15.0, shift_max_px=2, hflip_enabled=True,
                        probability=0.5)
     img = np.random.default_rng(2).random((28, 28))
-    a = augment(img, spec, Rng(5))
-    b = augment(img, spec, Rng(5))
-    c = augment(img, spec, Rng(6))
+    a = augment(img[None], spec, Rng(5))
+    b = augment(img[None], spec, Rng(5))
+    c = augment(img[None], spec, Rng(6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# sha256 of augment(synthetic_digits(64, 3) images, spec, Rng(11)), recorded
+# from the implementation that drew and transformed one image per call
+@pytest.mark.parametrize("spec, draws_per_image, digest", [
+    (AugmentSpec(rotate_max_deg=15.0, shift_max_px=2, hflip_enabled=True, probability=0.5),
+     6, "f779f33c1624cdd0d42b905e5d329538509a0b381ab8b3bfd4d46e8397173bf7"),
+    (AugmentSpec(rotate_max_deg=0.0, shift_max_px=3, hflip_enabled=False, probability=1.0),
+     3, "94559234e43b02b6f1c4fd12d50cbf764dd754e3547c6813760da19c8bd049d2"),
+    (AugmentSpec(rotate_max_deg=45.0, shift_max_px=0, hflip_enabled=True, probability=0.5),
+     3, "7235eb72e11f4f273b4d1bcf9ab3060f04cdd54da40082f6a60f900d596d39bd"),
+], ids=["all-at-half", "shift-only", "rotate45-flip"])
+def test_augment_reproduces_per_image_bytes(spec, draws_per_image, digest):
+    images, _ = synthetic_digits(64, 3)
+    rng = Rng(11)
+    out = augment(images, spec, rng)
+    assert out.dtype == np.uint8 and out.shape == images.shape
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    expected = Rng(11)
+    expected.uniform(64 * draws_per_image)
+    assert np.array_equal(rng._state, expected._state)
+
+
+@pytest.mark.parametrize("split", [37, AUGMENT_CHUNK + 5])
+def test_augment_split_stack_continues_one_stream(split):
+    # 37 falls inside the first chunk; AUGMENT_CHUNK + 5 makes the first call
+    # span a chunk boundary
+    images = np.resize(synthetic_digits(64, 3)[0], (AUGMENT_CHUNK + 100, 28, 28))
+    spec = AugmentSpec(rotate_max_deg=15.0, shift_max_px=2, hflip_enabled=True,
+                       probability=0.5)
+    whole_rng, split_rng = Rng(4), Rng(4)
+    whole = augment(images, spec, whole_rng)
+    parts = [augment(images[:split], spec, split_rng), augment(images[split:], spec, split_rng)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(split_rng._state, whole_rng._state)
 
 
 def test_augment_spec_validation():

@@ -53,7 +53,7 @@ def test_same_seed_bit_identical_parameters(tmp_path):
     # full stack: dropout + batchnorm + shuffling, twice with one seed
     rng_data = Rng(10)
     x = rng_data.uniform(40 * 12).reshape(40, 12)
-    labels = rng_data.integers(40, 4)
+    labels = np.minimum((rng_data.uniform(40) * 4).astype(np.int64), 3)
     y = np.zeros((40, 4))
     y[np.arange(40), labels] = 1.0
 
