@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +128,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed}")
     if not 0.0 <= cfg.augment_prob <= 1.0:
         raise ConfigError(f"augment_prob must be in [0, 1], got {cfg.augment_prob}")
+    for key in ("check_latent_val_acc", "check_quantum_val_acc"):
+        if not 0.0 <= getattr(cfg, key) <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1], got {getattr(cfg, key)}")
+    if not 0.0 <= cfg.check_ae_val_mse < math.inf:
+        raise ConfigError(f"check_ae_val_mse must be finite and >= 0, got {cfg.check_ae_val_mse}")
     for key in PATH_KEYS:
         value = getattr(cfg, key)
         if value and not Path(value).is_file():

@@ -3,9 +3,9 @@
 Every stage derives its randomness from Rng(seed).split(<stage label>), so
 stages are independent of execution order and re-runs are byte-identical.
 ``STAGES`` is the one table of the stage graph. A stage's key hashes the
-config fields it reads, the sha256 of the data files among them and the keys
-its deps had when it ran; ``stages.json`` in the output directory records it.
-A stage re-runs when an output is missing, its key changed, --force is given,
+config fields it reads, the sha256 of the data files among them (not their
+paths) and the keys its deps had when it ran; ``stages.json`` in the output
+directory records it. A stage re-runs when an output is missing, its key changed, --force is given,
 or an upstream stage ran. ``run_pipeline`` runs a target stage together with
 every stage it depends on, so no stage is served from outputs built from
 another config.
@@ -376,8 +376,9 @@ class PipelineRun:
         # a stage that fails partway must leave no record its old outputs match
         if self.records.pop(name, None) is not None:
             self._save_records()
+        fields = {field: getattr(self.cfg, field) for field in stage.reads}
         try:
-            stage.run(SimpleNamespace(**record["reads"]), self.paths, self._load_splits)
+            stage.run(SimpleNamespace(**fields), self.paths, self._load_splits)
         except Exception as exc:
             raise StageError(f"{name}: {exc}") from exc
         self.records[name] = record
@@ -389,10 +390,13 @@ class PipelineRun:
         if data_files and self._digests is None:
             require_data(self.cfg)
             self._digests = {key: _sha256_file(getattr(self.cfg, key)) for key in PATH_KEYS}
-        # the JSON round trip makes it compare equal to its copy read back
-        # from stages.json (tuples become lists)
+        # A data file is keyed on its bytes only, so the same files in
+        # another directory match. The JSON round trip makes the record
+        # compare equal to its copy read back from stages.json (tuples
+        # become lists).
         record = json.loads(json.dumps({
-            "reads": {field: getattr(self.cfg, field) for field in stage.reads},
+            "reads": {field: getattr(self.cfg, field) for field in stage.reads
+                      if field not in PATH_KEYS},
             "inputs": {field: self._digests[field] for field in data_files},
             "deps": {dep: self.records.get(dep, {}).get("key") for dep in stage.deps},
         }))
@@ -408,7 +412,7 @@ class PipelineRun:
             return "no record"
         if not all(path.exists() for path in stage.outputs(self.paths)):
             return "output missing"
-        changed = [f for f in stage.reads if old["reads"].get(f) != record["reads"][f]]
+        changed = [f for f in record["reads"] if old["reads"].get(f) != record["reads"][f]]
         if changed:
             return f"{', '.join(changed)} changed"
         if old["inputs"] != record["inputs"]:

@@ -6,11 +6,12 @@ i, so qubit 0 is the least significant bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Rng
+from .rng import Rng, uniform_streams
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 MAX_QUBITS = 16
@@ -138,20 +139,56 @@ def marginals(state: QuantumState) -> np.ndarray:
     ])
 
 
-def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng) -> np.ndarray:
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cdf[g], u_g, side="right"), outcomes - 1) for every group g.
+
+    cdf is (groups, outcomes), each row sorted, and u is (groups, draws); the
+    result is flat, group after group. For a sorted row that value is the
+    count of its first outcomes - 1 entries that are <= u. Padding those
+    entries with inf to a power-of-two width lets one branchless binary
+    search count them for all draws at once.
+    """
+    groups, outcomes = cdf.shape
+    width = 1 << (outcomes - 1).bit_length()
+    table = np.full((groups, width), np.inf)
+    table[:, : outcomes - 1] = cdf[:, : outcomes - 1]
+    table = table.ravel()
+    base = np.repeat(np.arange(groups) * width, u.shape[1])
+    u = u.ravel()
+    pos = base.copy()
+    step = width // 2
+    while step:
+        pos += (table[pos + (step - 1)] <= u) * step
+        step //= 2
+    pos -= base
+    return pos
+
+
+def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng | Sequence[Rng]) -> np.ndarray:
     """shots i.i.d. indices into a probability vector, drawn by inverse CDF.
 
     probs may also be a (blocks, outcomes) stack. Its blocks * shots uniforms
     come from one draw call in block order, so the stream is consumed exactly
     as by one call per block, and the indices are returned flat, block after
     block.
+
+    rng may also be a sequence of R streams, one per row of an (R, blocks,
+    outcomes) stack. Row i then draws from rng[i] exactly as a call with that
+    row and that stream alone would; all rows are drawn in one lane pass
+    (``uniform_streams``) and the indices are returned flat, row after row.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cdf = np.cumsum(np.atleast_2d(probs), axis=1)
-    u = rng.uniform(len(cdf) * shots).reshape(len(cdf), shots)
-    draws = np.concatenate([np.searchsorted(c, row, side="right") for c, row in zip(cdf, u)])
-    return np.minimum(draws, cdf.shape[1] - 1)
+    probs = np.asarray(probs)
+    cdf = np.cumsum(probs, axis=-1).reshape(-1, probs.shape[-1])
+    if isinstance(rng, Rng):
+        u = rng.uniform(len(cdf) * shots)
+    else:
+        if len(rng) != len(probs) or probs.ndim != 3:
+            raise ValueError(f"need one stream per row of an (R, blocks, outcomes) stack, "
+                             f"got {len(rng)} streams for shape {probs.shape}")
+        u = uniform_streams(rng, probs.shape[1] * shots)
+    return _inverse_cdf(cdf, u.reshape(len(cdf), shots))
 
 
 def sample_indices(state: QuantumState, shots: int, rng: Rng) -> np.ndarray:

@@ -17,11 +17,19 @@ yield the identical stream and leave the identical state behind.
   lanes of C = 2^k consecutive steps, moves lane j to T^(jC) s with cached
   jump tables T^(2^b), then steps all lanes together with uint64 array
   operations. Read lane after lane, the outputs are the sequential stream.
+
+The lane path takes a stack of R states and draws n words from each in one
+pass: C comes from the total R * n, every row's lanes are jumped by the same
+matmuls and all R * L lanes step together. :meth:`Rng.uniform` is the R = 1
+case; :func:`uniform_streams` serves many streams at once, for example one
+child stream per sampled row, and leaves each stream where its own
+``uniform(n)`` would.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -139,34 +147,55 @@ def _lane_steps(n: int) -> int:
     return 1 << max(n.bit_length() // 2 - 1, 0)
 
 
-def _lane_words(state: np.ndarray, n: int) -> np.ndarray:
-    """The next n raw output words, computed in lanes; advances state by n."""
-    steps = _lane_steps(n)
-    n_lanes = -(-n // steps)
-    starts = state.reshape(1, 4)
+def _lane_words(states: np.ndarray, n: int) -> np.ndarray:
+    """The next n raw output words of each of R stacked (R, 4) states, as an
+    (R, n) array, computed in lanes together; advances every state by n."""
+    n_rows = len(states)
+    steps = _lane_steps(n_rows * n)
+    n_lanes = -(-n // steps)  # per row
+    starts = states  # lane after lane, each lane one state per row
     b = steps.bit_length() - 1
-    while len(starts) < n_lanes:
+    while len(starts) < n_lanes * n_rows:
         # Lanes [m, 2m) start m * steps = 2^b draws after lanes [0, m).
-        starts = np.concatenate([starts, _jump(starts, b)])
+        starts = np.concatenate([starts, _jump(starts[: n_lanes * n_rows - len(starts)], b)])
         b += 1
-    s = starts[:n_lanes].T.copy()
-    s0 = np.empty((steps, n_lanes), dtype=np.uint64)
+    s = starts.T.copy()
+    s0 = np.empty((steps, s.shape[1]), dtype=np.uint64)
     s3 = np.empty_like(s0)
     last = n - (n_lanes - 1) * steps  # steps the last lane contributes
     for i in range(steps):
         if i == last:
-            state[:] = s[:, -1]
+            states[:] = s[:, -n_rows:].T
         s0[i] = s[0]
         s3[i] = s[3]
         _step_lanes(s)
     if last == steps:
-        state[:] = s[:, -1]
+        states[:] = s[:, -n_rows:].T
     words = s0 + s3
     rot = words >> 41
     words <<= 23
     words |= rot
     words += s0
-    return words.T.ravel()[:n]
+    # (steps, lanes, R) -> (R, lanes, steps): read lane after lane, each row is its stream
+    return words.reshape(steps, n_lanes, n_rows).transpose(2, 1, 0).reshape(n_rows, -1)[:, :n]
+
+
+def uniform_streams(rngs: Sequence[Rng], n: int) -> np.ndarray:
+    """Row i is what ``rngs[i].uniform(n)`` returns, drawn for all streams together.
+
+    Each stream advances by exactly n draws, as if it had made that call.
+    Below ``_LANE_MIN`` draws in all, the streams draw one after another.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"draw count must be >= 0, got {n}")
+    if len(rngs) * n < _LANE_MIN:
+        return np.array([rng.uniform(n) for rng in rngs]).reshape(len(rngs), n)
+    states = np.array([rng._state for rng in rngs])
+    words = _lane_words(states, n)
+    for rng, state in zip(rngs, states):
+        rng._state[:] = state
+    return (words >> 11) * _FLOAT_SCALE
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -200,8 +229,11 @@ class Rng:
         n = operator.index(n)
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        words_of = _lane_words if n >= _LANE_MIN else _scalar_words
-        return (words_of(self._state, n) >> 11) * _FLOAT_SCALE
+        if n < _LANE_MIN:
+            words = _scalar_words(self._state, n)
+        else:
+            words = _lane_words(self._state[None], n)[0]
+        return (words >> 11) * _FLOAT_SCALE
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), consuming n-1 draws."""

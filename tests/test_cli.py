@@ -62,6 +62,23 @@ def test_bad_config_value_is_exit_2_before_any_stage(make_config, tmp_path, caps
     assert "running" not in captured.out
 
 
+@pytest.mark.parametrize("key, value", [
+    ("check_latent_val_acc", 2.0),
+    ("check_quantum_val_acc", -0.1),
+    ("check_ae_val_mse", -0.5),
+    ("check_ae_val_mse", "inf"),
+    ("check_ae_val_mse", "nan"),
+])
+def test_bad_check_floor_is_exit_2_before_any_stage(make_config, tmp_path, capsys, key, value):
+    # an unreachable floor must not cost a full run before --check reports it
+    cfg = make_config(out_dir=tmp_path / "bad-floor", ae_epochs=1, clf_epochs=1,
+                      **{key: value})
+    assert main(["--config", str(cfg), "--check", "pipeline"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "running" not in captured.out
+
+
 def test_missing_data_path_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "missing.cfg"
     cfg.write_text(f"train_images = {tmp_path / 'nope'}\n")

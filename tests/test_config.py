@@ -81,6 +81,19 @@ def test_validation_ranges():
         validate_config(ExperimentConfig(ae_lr=-0.001))
     with pytest.raises(ConfigError, match="clf_lr"):
         validate_config(ExperimentConfig(clf_lr=0.0))
+    with pytest.raises(ConfigError, match="check_latent_val_acc"):
+        validate_config(ExperimentConfig(check_latent_val_acc=2.0))
+    with pytest.raises(ConfigError, match="check_quantum_val_acc"):
+        validate_config(ExperimentConfig(check_quantum_val_acc=-0.01))
+    with pytest.raises(ConfigError, match="check_ae_val_mse"):
+        validate_config(ExperimentConfig(check_ae_val_mse=float("inf")))
+    with pytest.raises(ConfigError, match="check_ae_val_mse"):
+        validate_config(ExperimentConfig(check_ae_val_mse=-1e-9))
+
+
+def test_check_floors_accept_their_bounds():
+    validate_config(ExperimentConfig(check_latent_val_acc=0.0, check_quantum_val_acc=1.0,
+                                     check_ae_val_mse=0.0))
 
 
 def test_referenced_paths_must_exist(tmp_path):

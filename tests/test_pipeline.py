@@ -323,6 +323,25 @@ def test_changed_data_file_reruns_every_stage(make_config, tmp_path):
     assert all(text.startswith("running") for text in status.values())
 
 
+def test_same_data_in_another_directory_is_cached(make_config, synth_data, tmp_path):
+    out_dir = tmp_path / "warm"
+    run_pipeline(load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1)),
+                 log=_quiet)
+    before = _tree(out_dir)
+    copy_dir = tmp_path / "moved-data"
+    copy_dir.mkdir()
+    moved = {}
+    for key, path in synth_data.items():
+        moved[key] = copy_dir / path.name
+        moved[key].write_bytes(path.read_bytes())
+    cfg = load_config(make_config(name="moved.cfg", out_dir=out_dir, ae_epochs=1,
+                                  clf_epochs=1, **moved))
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"cached"}
+    assert _tree(out_dir) == before
+
+
 def test_failed_stage_leaves_no_temp_file_and_no_key(make_config, tmp_path, monkeypatch):
     out_dir = tmp_path / "warm"
     cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))

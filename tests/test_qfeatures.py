@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qhybrid.qfeatures import (
     N_BLOCKS,
+    SAMPLE_CHUNK,
     ScalingStats,
     block_angles,
     build_block_circuit,
@@ -181,6 +184,36 @@ def test_sampled_matches_exact_within_binomial_bound():
     bound = 3.0 * np.sqrt(0.25 / 4096)
     assert int((gaps >= bound).sum()) <= 2
     assert gaps.mean() < 0.01
+
+
+# sha256 of the sampled features' bytes, recorded from the per-row
+# implementation that preceded chunked sampling: (layout, rows, shots) -> digest
+SAMPLED_DIGESTS = {
+    ("marginal", 0, 1024): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("marginal", 1, 1024): "fafa9e1e9fb03653c41624f4182e68eebc77832084b899cc5c857353985a48a9",
+    ("marginal", 10, 1024): "cf3592ad97b972f40cfd66acf9776f396320977b616d8952c51fc51c9075032f",
+    ("marginal", 5, 4096): "bfe80b522c237f801b7fb012a28640739ea862c7bb3ad46eaa27f8a9f3a21d03",
+    ("marginal", 3, 1): "d47700b54d5c5708497b2a5733fe9eb89cd11001294a4a55f305c3a90f6ab263",
+    ("histogram", 0, 1024): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("histogram", 1, 1024): "59cc1af621d51362cfc7baa2dcb7cc4defca6267fbaa2d32738dfdeee2eb7757",
+    ("histogram", 10, 1024): "c4db83bf2fac72d91db8e42ca0f76e732d9d9278ae8831e9c94b21b10d85b759",
+    ("histogram", 5, 4096): "64329b4fd091dcd1f9cfea70db6e255c31572c1f6f23512fb1fc31bf5f6a23f7",
+    ("histogram", 3, 1): "869aca82e059a8dd04b50e780dc5457063baae7b30e9eea9297daa8f98ea4f24",
+}
+
+
+@pytest.mark.parametrize("layout, n_rows, shots", list(SAMPLED_DIGESTS))
+def test_sampled_features_match_pinned_digests(layout, n_rows, shots):
+    # 10 rows at 1024 shots is one chunk and one row; 5 rows at 4096 shots
+    # is three chunks, the last one partial; 3 rows at 1 shot is one chunk
+    # too small for the lane path
+    assert SAMPLE_CHUNK // (N_BLOCKS * 1024) == 9 and SAMPLE_CHUNK // (N_BLOCKS * 4096) == 2
+    stats = ScalingStats.fit(Rng(2).uniform(40 * 64).reshape(40, 64) * 4.0 - 2.0)
+    latents = Rng(3).uniform(n_rows * 64).reshape(n_rows, 64) * 4.0 - 2.0
+    features = transform_features(latents, stats, mode="sampled", shots=shots, rng=Rng(21),
+                                  layout=layout)
+    assert features.shape == (n_rows, N_BLOCKS * (5 if layout == "marginal" else 32))
+    assert hashlib.sha256(features.tobytes()).hexdigest() == SAMPLED_DIGESTS[layout, n_rows, shots]
 
 
 def test_transform_validation():

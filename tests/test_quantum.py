@@ -238,6 +238,36 @@ def test_stacked_sampling_matches_per_block_calls():
     assert np.array_equal(stacked_rng._state, loop_rng._state)
 
 
+def _clamped_searchsorted(probs, u):
+    cdf = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+@pytest.mark.parametrize("outcomes", [1, 2, 3, 5, 32, 33])
+def test_stream_stack_matches_one_call_per_row(outcomes):
+    gen = np.random.default_rng(outcomes)
+    probs = gen.random((4, 3, outcomes))
+    probs[:, :, 1::3] = 0.0  # repeated cdf values
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs[0, 0] *= 0.9  # a cdf that ends below some draws: the clamp
+    streams = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
+    alone = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
+    got = sample_from_probs(probs, 200, streams).reshape(len(probs), 3, 200)
+    for row, p, stream, single in zip(got, probs, streams, alone):
+        u = single.uniform(3 * 200).reshape(3, 200)
+        expected = [_clamped_searchsorted(block, draws) for block, draws in zip(p, u)]
+        assert np.array_equal(row, expected)
+        assert np.array_equal(stream._state, single._state)
+
+
+def test_stream_stack_needs_one_stream_per_row():
+    probs = np.full((2, 13, 32), 1 / 32)
+    with pytest.raises(ValueError, match="one stream per row"):
+        sample_from_probs(probs, 8, [Rng(0)])
+    with pytest.raises(ValueError, match="one stream per row"):
+        sample_from_probs(probs[0], 8, [Rng(0)] * 13)
+
+
 def test_zero_shots_rejected():
     with pytest.raises(ValueError, match="shots"):
         sample_indices(QuantumState(1), 0, Rng(0))

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qhybrid.rng import _LANE_MIN, Rng, _jump, _lane_steps, _scalar_words
+from qhybrid.rng import (
+    _LANE_MIN,
+    Rng,
+    _jump,
+    _lane_steps,
+    _lane_words,
+    _scalar_words,
+    uniform_streams,
+)
 
 # First eight outputs per seed, frozen as regression fixtures.
 PINNED = {
@@ -96,6 +104,36 @@ def test_mixed_call_sizes_continue_one_stream():
     slow = Rng(77)
     assert np.array_equal(got, _scalar_uniform(slow._state, sum(sizes)))
     assert np.array_equal(rng._state, slow._state)
+
+
+def _children(n_rows):
+    return [Rng(31).split(f"row/{i}") for i in range(n_rows)]
+
+
+@pytest.mark.parametrize("n", [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 13 * 1024])
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 7])
+def test_multi_stream_lanes_match_each_stream(n_rows, n):
+    states = np.array([child._state for child in _children(n_rows)])
+    words = _lane_words(states, n)
+    assert words.shape == (n_rows, n)
+    for row, end, child, alone in zip(words, states, _children(n_rows), _children(n_rows)):
+        assert np.array_equal(row, _scalar_words(child._state, n))
+        assert np.array_equal((row >> 11) * 2.0**-53, alone.uniform(n))
+        assert np.array_equal(end, child._state)
+        assert np.array_equal(end, alone._state)
+
+
+@pytest.mark.parametrize("n", [0, 1, _LANE_MIN // 3, 13 * 1024])
+def test_uniform_streams_draws_as_each_stream_would(n):
+    streams, alone = _children(3), _children(3)
+    got = uniform_streams(streams, n)
+    assert got.shape == (3, n)
+    for row, stream, single in zip(got, streams, alone):
+        assert np.array_equal(row, single.uniform(n))
+        assert np.array_equal(stream._state, single._state)
+    assert uniform_streams([], n).shape == (0, n)
+    with pytest.raises(ValueError, match="draw count"):
+        uniform_streams(streams, -1)
 
 
 @pytest.mark.parametrize("b", range(7))
