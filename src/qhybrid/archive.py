@@ -56,11 +56,11 @@ def save_archive(entries, path) -> None:
         blob += encoded
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        blob += arr.tobytes()
-    write_atomic(path, bytes(blob))
+        blob += arr.data
+    write_atomic(path, blob)
 
 
-def write_atomic(path, data: bytes) -> None:
+def write_atomic(path, data: bytes | bytearray) -> None:
     """Write bytes to a temp file beside ``path``, then rename it into place,
     so a reader never sees a half-written file under the final name."""
     path = Path(path)
@@ -75,12 +75,12 @@ def write_atomic(path, data: bytes) -> None:
 
 def load_archive(path) -> list[tuple[str, np.ndarray]]:
     """Read back (name, tensor) pairs in the order they were saved."""
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())  # slices of it copy nothing
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise BadMagicError(f"not a model archive (bad magic): {path}")
     offset = 4
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal offset
         if offset + n > len(raw):
             raise TruncatedArchiveError(f"archive truncated at byte {offset}: {path}")
@@ -93,7 +93,7 @@ def load_archive(path) -> list[tuple[str, np.ndarray]]:
     seen: set[str] = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = str(take(name_len), "utf-8")
         if name in seen:
             raise DuplicateNameError(f"duplicate archive entry name: {name!r}")
         seen.add(name)

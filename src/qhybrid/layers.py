@@ -2,8 +2,8 @@
 
 Every layer follows the same protocol: ``forward(x, training=..., rng=...)``
 caches whatever the matching ``backward(grad)`` needs, and ``backward``
-returns the gradient with respect to the layer input while accumulating
-parameter gradients on the layer itself.
+returns the gradient with respect to the layer input while writing parameter
+gradients in place into the layer's ``grad_*`` arrays (views, in a Network).
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class Dense:
             gz = grad * self._a * (1.0 - self._a)
         else:  # linear and softmax both pass through
             gz = grad
-        self.grad_W = gz.T @ self._x
-        self.grad_b = gz.sum(axis=0)
+        np.matmul(gz.T, self._x, out=self.grad_W)
+        gz.sum(axis=0, out=self.grad_b)
         return gz @ self.W
 
     def params(self):

@@ -14,7 +14,11 @@ _KIND_DROPOUT = 2.0
 
 
 class Network:
-    """An ordered layer stack with a training/inference mode switch."""
+    """An ordered layer stack with a training/inference mode switch.
+
+    Each layer's ``W``/``b``/``grad_W``/``grad_b`` is rebound as a view into
+    one flat ``param_vector`` or ``grad_vector``, in ``params()`` order.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -28,6 +32,16 @@ class Network:
                         f"layer {i} expects width {layer.in_width} but receives {width}"
                     )
                 width = layer.out_width
+        size = sum(arr.size for arr in self.params())
+        self.param_vector, self.grad_vector = np.empty(size), np.zeros(size)
+        offset = 0
+        for layer in self.layers:
+            for name, arr in layer.params():
+                for attr, flat in ((name, self.param_vector), (f"grad_{name}", self.grad_vector)):
+                    view = flat[offset : offset + arr.size].reshape(arr.shape)
+                    view[...] = getattr(layer, attr)
+                    setattr(layer, attr, view)
+                offset += arr.size
 
     def train(self) -> "Network":
         self.training = True
@@ -105,8 +119,8 @@ class Network:
             kind = meta[0]
             if kind == _KIND_DENSE:
                 layer = Dense(int(meta[1]), int(meta[2]), ACTIVATIONS[int(meta[3])])
-                layer.W = entries[f"{tag}/W"].copy()
-                layer.b = entries[f"{tag}/b"].copy()
+                layer.W = entries[f"{tag}/W"]  # copied into the network's vector
+                layer.b = entries[f"{tag}/b"]
             elif kind == _KIND_BATCHNORM:
                 layer = BatchNorm(int(meta[1]), eps=meta[2], momentum=meta[3])
                 layer.running_mean = entries[f"{tag}/running_mean"].copy()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_BLOCK = 2**14  # elements per pass of the fused update: 128 KB per operand
+
 
 class Adam:
     """Adaptive-moment optimizer with bias-corrected first/second moments.
@@ -14,6 +16,10 @@ class Adam:
         v = beta2 * v + (1 - beta2) * g^2
         m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
         theta -= alpha * m_hat / (sqrt(v_hat) + eps)
+
+    The update runs in place, ``_BLOCK`` elements at a time through two
+    block-sized scratch buffers, in that order of operations; training passes
+    one flat (parameters, gradients) pair per network.
     """
 
     def __init__(self, alpha: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
@@ -25,14 +31,15 @@ class Adam:
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
+        self._scratch = np.empty((2, _BLOCK))
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
         """Update params in place from matching grads; returns params."""
         if len(params) != len(grads):
             raise ValueError(f"got {len(params)} params but {len(grads)} grads")
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = [np.zeros(p.size) for p in params]
+            self.v = [np.zeros(p.size) for p in params]
         if len(self.m) != len(params):
             raise ValueError(f"optimizer tracks {len(self.m)} params, got {len(params)}")
         self.t += 1
@@ -41,11 +48,17 @@ class Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.alpha * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p, g = np.reshape(p, -1, copy=False), np.reshape(g, -1)  # p must not need a copy
+            for i in range(0, p.size, _BLOCK):
+                pb, gb, mb, vb = (a[i : i + _BLOCK] for a in (p, g, m, v))
+                step, denom = self._scratch[:, : pb.size]
+                mb *= self.beta1
+                mb += np.multiply(gb, 1.0 - self.beta1, out=step)
+                vb *= self.beta2
+                vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - self.beta2, out=step)
+                np.multiply(np.divide(mb, bias1, out=step), self.alpha, out=step)
+                np.add(np.sqrt(np.divide(vb, bias2, out=denom), out=denom), self.eps, out=denom)
+                pb -= np.divide(step, denom, out=step)
         return params
 
 

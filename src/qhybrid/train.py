@@ -1,4 +1,9 @@
-"""Mini-batch training loop with per-epoch history."""
+"""Mini-batch training loop with per-epoch history.
+
+After its shuffle permutation, an epoch draws from the loop rng only Dropout
+masks, in batch and then layer order, so the masks come from a few
+``MASK_CHUNK``-draw calls sliced per mask: the same stream, far fewer calls.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import batch_iter
+from .layers import Dropout
 from .losses import cross_entropy_loss, mse_loss
 from .network import Network
 from .optim import Adam, lr_schedule
 from .rng import Rng
+
+MASK_CHUNK = 2**17  # draws per uniform call for Dropout masks: 1 MB of float64
 
 
 @dataclass
@@ -38,6 +46,23 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, loss_fn, *,
     return total / len(x), preds
 
 
+class _MaskDraws:
+    """Serves Dropout's ``uniform(k)`` calls from ``total`` draws of ``rng``,
+    drawn lazily in calls of at most ``MASK_CHUNK``."""
+
+    def __init__(self, rng: Rng, total: int):
+        self._chunks = (rng.uniform(min(MASK_CHUNK, total - i))
+                        for i in range(0, total, MASK_CHUNK))
+        self._buf = np.empty(0)
+
+    def uniform(self, k: int) -> np.ndarray:
+        out, self._buf = self._buf[:k], self._buf[k:]
+        while len(out) < k:
+            chunk = next(self._chunks)
+            out, self._buf = np.concatenate([out, chunk[: k - len(out)]]), chunk[k - len(out) :]
+        return out
+
+
 def train(net: Network, x: np.ndarray, y: np.ndarray | None, *, epochs: int,
           batch_size: int, adam: Adam, rng: Rng, x_val: np.ndarray | None = None,
           y_val: np.ndarray | None = None, lr_step: int = 0, lr_factor: float = 0.5,
@@ -56,6 +81,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray | None, *, epochs: int,
     loss_fn = cross_entropy_loss if classify else mse_loss
     alpha0 = adam.alpha
     history: list[EpochRecord] = []
+    width, mask_width = x.shape[1], 0  # mask draws per row: widths into Dropout with p > 0
+    for layer in net.layers:
+        mask_width += width if isinstance(layer, Dropout) and layer.p > 0.0 else 0
+        width = layer.out_width or width
     for epoch in range(epochs):
         if lr_step:
             adam.alpha = lr_schedule(alpha0, epoch, lr_step, lr_factor)
@@ -63,13 +92,14 @@ def train(net: Network, x: np.ndarray, y: np.ndarray | None, *, epochs: int,
         y_epoch = y if classify else x_epoch
         net.train()
         loss_sum, acc_sum = 0.0, 0.0
+        masks = _MaskDraws(rng, len(x_epoch) * mask_width)
         for xb, yb in batch_iter(x_epoch, y_epoch, batch_size, shuffle=True, rng=rng):
-            out = net.forward(xb, rng=rng)
+            out = net.forward(xb, rng=masks)
             loss, grad = loss_fn(yb, out)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
             net.backward(grad)
-            adam.step(net.params(), net.grads())
+            adam.step([net.param_vector], [net.grad_vector])
             loss_sum += loss * len(xb)
             if classify:
                 acc_sum += float(np.sum(out.argmax(axis=1) == yb.argmax(axis=1)))

@@ -115,3 +115,14 @@ def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch):
         write_atomic(path, b"new\n")
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
+def test_loaded_tensors_own_writable_memory(tmp_path):
+    path = tmp_path / "model.qhm"
+    save_archive([("a", np.arange(6.0).reshape(2, 3)), ("b", np.ones(4))], path)
+    (_, a), (_, b) = load_archive(path)
+    for arr in (a, b):
+        assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+    assert not np.shares_memory(a, b)
+    a[0, 0] = 7.0
+    assert a[0, 0] == 7.0 and b.tolist() == [1.0] * 4

@@ -232,3 +232,24 @@ def test_backward_without_forward_raises():
     for layer in (Dense(2, 2, rng=Rng(0)), BatchNorm(2), Dropout(0.5)):
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("activation", ["linear", "relu", "sigmoid", "softmax"])
+def test_dense_backward_in_place_matches_allocating_form(activation):
+    rng = Rng(321)
+    layer = Dense(37, 19, activation, rng=rng)
+    x = rng.uniform(13 * 37).reshape(13, 37) * 2 - 1
+    grad = rng.uniform(13 * 19).reshape(13, 19) - 0.5
+    out = layer.forward(x, training=True)
+    if activation == "relu":
+        gz = grad * (layer._z > 0)
+    elif activation == "sigmoid":
+        gz = grad * out * (1.0 - out)
+    else:
+        gz = grad
+    grad_W, grad_b = layer.grad_W, layer.grad_b
+    gx = layer.backward(grad)
+    assert layer.grad_W is grad_W and layer.grad_b is grad_b  # written in place
+    assert layer.grad_W.tobytes() == (gz.T @ x).tobytes()
+    assert layer.grad_b.tobytes() == gz.sum(axis=0).tobytes()
+    assert gx.tobytes() == (gz @ layer.W).tobytes()

@@ -152,3 +152,35 @@ def test_classifier_builder_structure():
     out = net.forward(Rng(1).uniform(3 * 65).reshape(3, 65))
     assert out.shape == (3, 10)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+
+
+def _assert_packed(net):
+    dense = [layer for layer in net.layers if isinstance(layer, Dense)]
+    assert net.param_vector.size == sum(l.W.size + l.b.size for l in dense)
+    for layer in dense:
+        for arr in (layer.W, layer.b):
+            assert np.shares_memory(arr, net.param_vector)
+        for arr in (layer.grad_W, layer.grad_b):
+            assert np.shares_memory(arr, net.grad_vector)
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.params()]), net.param_vector)
+
+
+def test_parameters_are_views_into_flat_vectors(tmp_path):
+    net = _composite_net(Rng(12))
+    _assert_packed(net)
+    net.param_vector[0] = 5.0
+    assert net.layers[0].W[0, 0] == 5.0
+    _assert_packed(Network.from_entries(dict(net.archive_entries())))
+    net.save(tmp_path / "net.qhm")
+    restored = Network.load(tmp_path / "net.qhm")
+    _assert_packed(restored)
+    assert np.array_equal(restored.param_vector, net.param_vector)
+
+
+def test_backward_fills_the_flat_gradient_vector():
+    rng = Rng(13)
+    net = _composite_net(rng)
+    net.train()
+    out = net.forward(rng.uniform(4 * 6).reshape(4, 6), rng=Rng(3))
+    net.backward(cross_entropy_loss(np.eye(4), out)[1])
+    assert np.array_equal(np.concatenate([g.ravel() for g in net.grads()]), net.grad_vector)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qhybrid.optim import Adam, lr_schedule
+from qhybrid.optim import _BLOCK, Adam, lr_schedule
+from qhybrid.rng import Rng
 
 
 def test_first_step_unit_gradient():
@@ -70,3 +71,41 @@ def test_lr_schedule_validation():
         lr_schedule(0.1, 1, step_size=0)
     with pytest.raises(ValueError):
         lr_schedule(0.1, 1, factor=0.0)
+
+
+def _per_tensor_adam(params, grads, m, v, t, alpha, b1=0.9, b2=0.999, eps=1e-8):
+    # the per-tensor, allocating form of the update, in its order of operations
+    bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+    for p, g, mt, vt in zip(params, grads, m, v):
+        mt *= b1
+        mt += (1.0 - b1) * g
+        vt *= b2
+        vt += (1.0 - b2) * (g * g)
+        p -= alpha * (mt / bias1) / (np.sqrt(vt / bias2) + eps)
+
+
+def test_blocked_step_matches_per_tensor_formula_bit_for_bit():
+    rng = Rng(17)
+    shapes = [(3, _BLOCK // 2 + 7), (5,), (2, _BLOCK + 1)]  # 57 362 elements in all
+    tensors = [rng.uniform(int(np.prod(s))).reshape(s) - 0.5 for s in shapes]
+    flat = np.concatenate([t.ravel() for t in tensors])
+    assert flat.size % _BLOCK
+    listed = [t.copy() for t in tensors]
+    m = [np.zeros_like(t) for t in tensors]
+    v = [np.zeros_like(t) for t in tensors]
+    adam_flat, adam_list = Adam(alpha=0.01), Adam(alpha=0.01)
+    for step in range(5):
+        alpha = lr_schedule(0.01, step, step_size=2, factor=0.3)
+        adam_flat.alpha = adam_list.alpha = alpha
+        grads = [rng.uniform(t.size).reshape(t.shape) - 0.5 for t in tensors]
+        adam_flat.step([flat], [np.concatenate([g.ravel() for g in grads])])
+        adam_list.step(listed, grads)
+        _per_tensor_adam(tensors, grads, m, v, step + 1, alpha)
+        expected = np.concatenate([t.ravel() for t in tensors])
+        assert flat.tobytes() == expected.tobytes()
+        assert np.concatenate([t.ravel() for t in listed]).tobytes() == expected.tobytes()
+
+
+def test_param_that_cannot_be_flattened_in_place_rejected():
+    with pytest.raises(ValueError):
+        Adam().step([np.zeros((4, 4))[:, :2]], [np.ones((4, 2))])

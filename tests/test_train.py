@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qhybrid.losses import cross_entropy_loss, mse_loss
-from qhybrid.network import Network, make_classifier
+from qhybrid.network import Network, make_autoencoder, make_classifier
 from qhybrid.layers import Dense
 from qhybrid.optim import Adam
 from qhybrid.rng import Rng
-from qhybrid.train import evaluate, train
+from qhybrid.train import MASK_CHUNK, evaluate, train
 
 
 def _toy_two_class():
@@ -141,3 +143,63 @@ def test_non_finite_loss_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             train(net, x, None, epochs=5, batch_size=2, adam=Adam(alpha=1e150), rng=Rng(0))
+
+
+def _one_hot(rng, n, k):
+    labels = np.minimum((rng.uniform(n) * k).astype(np.int64), k - 1)
+    y = np.zeros((n, k))
+    y[np.arange(n), labels] = 1.0
+    return y
+
+
+def _digests(net, rng):
+    h = hashlib.sha256()
+    for name, arr in net.archive_entries():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest(), hashlib.sha256(rng._state.tobytes()).hexdigest()
+
+
+# Digests of the trained parameters and the final loop-rng state, recorded
+# with per-tensor Adam and one uniform call per Dropout mask; the flat
+# parameter vector, blocked Adam and chunked mask draws must reproduce them.
+
+def test_pinned_digests_classifier_short_last_batch():
+    data = Rng(60)
+    x = data.uniform(45 * 12).reshape(45, 12)
+    y = _one_hot(data, 45, 4)  # 45 rows at batch 8: the last batch has 5
+    net = make_classifier(12, Rng(61), hidden=(16, 8), n_classes=4, dropout=0.3)
+    rng = Rng(62)
+    train(net, x, y, epochs=2, batch_size=8, adam=Adam(alpha=0.01), rng=rng)
+    assert _digests(net, rng) == (
+        "0feb9289fe73a092f71886cf6b1c20e3582b42a1e2b9a043f4148363ac8eba2f",
+        "2305354830928b4f62674adf8c8bf7ff63eb6d1638794890ea29e5c0204694b9",
+    )
+
+
+def test_pinned_digests_classifier_masks_cross_chunk():
+    # 180 mask draws per row, 11 520 per batch of 64: the first chunk ends
+    # 4 352 draws into batch 12, inside its 6 400-draw first mask
+    assert 11 * 64 * 180 < MASK_CHUNK < 11 * 64 * 180 + 64 * 100 < 800 * 180
+    data = Rng(70)
+    x = data.uniform(800 * 8).reshape(800, 8)
+    y = _one_hot(data, 800, 10)
+    net = make_classifier(8, Rng(71), hidden=(100, 50, 30), dropout=0.3)
+    rng = Rng(72)
+    train(net, x, y, epochs=2, batch_size=64, adam=Adam(), rng=rng, lr_step=1)
+    assert _digests(net, rng) == (
+        "dab798e34313e2dc39312f095cffbd099ee5dc300bcbcb6653b7d61edf693f1c",
+        "64ec7b8b79b50f223978beaf60bf454ab200eb329ba407978d829ec641e18818",
+    )
+
+
+def test_pinned_digests_autoencoder():
+    # 30 068 parameters: more than one Adam block, and not a whole number of them
+    x = Rng(80).uniform(70 * 100).reshape(70, 100)
+    ae = make_autoencoder(Rng(81), input_width=100, hidden=128, latent=16)
+    rng = Rng(82)
+    train(ae.net, x, None, epochs=2, batch_size=16, adam=Adam(alpha=0.005), rng=rng)
+    assert _digests(ae.net, rng) == (
+        "1201e74a5f0527669274aa49489636b4314fc24b01328baf8f8417dd468d953d",
+        "c5375697369dd10cbb90ad3e4445ec4f4ecbea7409c3a82d00102e56930fe2aa",
+    )
