@@ -11,6 +11,7 @@ from .rng import Rng
 _KIND_DENSE = 0.0
 _KIND_BATCHNORM = 1.0
 _KIND_DROPOUT = 2.0
+INFERENCE_BATCH = 1024  # rows per batch of an inference pass
 
 
 class Network:
@@ -59,6 +60,22 @@ class Network:
         for layer in self.layers:
             out = layer.forward(out, training=self.training, rng=rng)
         self._forward_armed = self.training
+        return out
+
+    def batches(self, x: np.ndarray, stop: int | None = None):
+        """Yield (start, inference-mode output of layers[:stop]) per INFERENCE_BATCH rows."""
+        for start in range(0, len(x), INFERENCE_BATCH):
+            out = x[start : start + INFERENCE_BATCH]
+            for layer in self.layers[:stop]:
+                out = layer.forward(out, training=False)
+            yield start, out
+
+    def predict(self, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """The output of ``layers[:stop]`` for every row of x, in inference mode."""
+        widths = [layer.out_width for layer in self.layers[:stop] if layer.out_width]
+        out = np.empty((len(x), widths[-1] if widths else x.shape[1]))
+        for start, batch in self.batches(x, stop):
+            out[start : start + len(batch)] = batch
         return out
 
     def backward(self, loss_grad: np.ndarray) -> None:
@@ -142,7 +159,7 @@ class Network:
 
 class Autoencoder:
     """Encoder/decoder pair held as one network; the first ``latent_layers``
-    layers form the encoder."""
+    layers form the encoder. Both passes run through ``Network.predict``."""
 
     def __init__(self, net: Network, latent_layers: int):
         self.net = net
@@ -150,21 +167,10 @@ class Autoencoder:
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Latent representation, evaluated in inference mode."""
-        out = x
-        for layer in self.net.layers[: self.latent_layers]:
-            out = layer.forward(out, training=False)
-        return out
-
-    def decode(self, latents: np.ndarray) -> np.ndarray:
-        """Reconstruction from latents; decode(encode(x)) == reconstruct(x)."""
-        out = latents
-        for layer in self.net.layers[self.latent_layers :]:
-            out = layer.forward(out, training=False)
-        return out
+        return self.net.predict(x, self.latent_layers)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        self.net.eval()
-        return self.net.forward(x)
+        return self.net.predict(x)
 
     def save(self, path) -> None:
         entries = self.net.archive_entries()

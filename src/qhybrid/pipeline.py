@@ -82,6 +82,8 @@ def load_splits(cfg: ExperimentConfig) -> Splits:
     require_data(cfg)
     raw_train = load_raw_dataset(cfg.train_images, cfg.train_labels)
     raw_test = load_raw_dataset(cfg.test_images, cfg.test_labels)
+    if len(raw_test) == 0:
+        raise StageError(f"test_images {cfg.test_images} holds no images")
     order = Rng(cfg.seed).split("valsplit").permutation(len(raw_train))
     if cfg.train_subset:
         order = order[: cfg.train_subset]
@@ -110,28 +112,28 @@ def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
 
 def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> None:
     rng = Rng(cfg.seed).split("train-ae")
-    x_train = normalize_and_flatten(splits.train_images)
     x_val = normalize_and_flatten(splits.val_images)
     ae = make_autoencoder(rng.split("init"))
-
-    epoch_features = None
     if cfg.augment and cfg.augment_stage in ("ae", "both"):
         spec = _augment_spec(cfg)
 
-        def epoch_features(epoch: int) -> np.ndarray:
+        def x_train(epoch: int) -> np.ndarray:
             fresh = augment(splits.train_images, spec, rng.split(f"augment/{epoch}"))
             return normalize_and_flatten(fresh)
+    else:
+        x_train = normalize_and_flatten(splits.train_images)
 
     history = train(
         ae.net, x_train, None,
         epochs=cfg.ae_epochs, batch_size=cfg.ae_batch, adam=Adam(alpha=cfg.ae_lr),
-        rng=rng.split("loop"), x_val=x_val,
-        lr_step=cfg.lr_step, lr_factor=cfg.lr_factor, epoch_features=epoch_features,
+        rng=rng.split("loop"), x_val=x_val, lr_step=cfg.lr_step, lr_factor=cfg.lr_factor,
     )
     ae.save(paths.ae_model)
     write_csv(paths.ae_loss_csv, ["epoch", "train_mse", "val_mse"],
               [[rec.epoch, rec.train_loss, rec.val_loss] for rec in history])
     paths.recon_dir.mkdir(parents=True, exist_ok=True)
+    for stale in paths.recon_dir.glob("recon_*.pgm"):  # a smaller val split writes fewer
+        stale.unlink()
     n_pairs = min(10, len(x_val))
     recon = ae.reconstruct(x_val[:n_pairs])
     for i in range(n_pairs):
@@ -311,7 +313,7 @@ _CLF_FIELDS = ("seed", "clf_widths", "clf_dropout", "clf_epochs", "clf_batch", "
                "lr_step", "lr_factor")
 
 STAGES = {stage.name: stage for stage in (
-    Stage("train-ae", (), lambda p: (p.ae_model, p.ae_loss_csv),
+    Stage("train-ae", (), lambda p: (p.ae_model, p.ae_loss_csv, p.recon_dir),
           lambda cfg, p, splits: stage_train_ae(cfg, p, splits(cfg)),
           (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "ae_epochs", "ae_batch", "ae_lr", "lr_step",
            "lr_factor")),

@@ -67,11 +67,10 @@ class EvalReport:
     loss: float
 
 
-def evaluate_classifier(net: Network, x: np.ndarray, y_onehot: np.ndarray,
-                        batch_size: int = 1024) -> EvalReport:
+def evaluate_classifier(net: Network, x: np.ndarray, y_onehot: np.ndarray) -> EvalReport:
     if len(x) != len(y_onehot):
         raise ValueError(f"feature/label count mismatch: {len(x)} vs {len(y_onehot)}")
-    loss, preds = evaluate(net, x, y_onehot, cross_entropy_loss, batch_size=batch_size)
+    loss, preds = evaluate(net, x, y_onehot, cross_entropy_loss)
     confusion = confusion_matrix(y_onehot.argmax(axis=1), preds, y_onehot.shape[1])
     diag = np.diag(confusion).astype(np.float64)
     col_sums = confusion.sum(axis=0)

@@ -1,8 +1,8 @@
 """Deterministic pseudo-randomness: xoshiro256++ seeded via splitmix64.
 
 The generator is pinned to this exact algorithm so that runs reproduce
-bit-for-bit across machines and across implementations. Floats are derived
-as ``(next_u64 >> 11) * 2**-53``, giving uniform doubles in [0, 1).
+bit-for-bit across machines and across implementations. A raw 64-bit output
+word w gives the float ``(w >> 11) * 2**-53``, uniform in [0, 1).
 
 Raw words come from one of two paths, chosen by the size of the call; both
 yield the identical stream and leave the identical state behind.
@@ -219,10 +219,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self._state = _seed_state(int(seed))
-
-    def next_u64(self) -> int:
-        """Draw one raw 64-bit word, advancing the stream by one step."""
-        return int(_scalar_words(self._state, 1)[0])
 
     def uniform(self, n: int) -> np.ndarray:
         """n float64 values in [0, 1); advances the stream by exactly n draws."""

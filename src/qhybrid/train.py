@@ -30,19 +30,16 @@ class EpochRecord:
     val_acc: float | None = None
 
 
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray, loss_fn, *,
-             batch_size: int = 1024) -> tuple[float, np.ndarray]:
-    """Inference-mode loss over a full set, in batches; returns the mean loss
-    against ``y`` and each row's argmax output."""
+def evaluate(net: Network, x: np.ndarray, y: np.ndarray, loss_fn) -> tuple[float, np.ndarray]:
+    """Inference-mode loss over a full set, in ``Network.batches``; returns
+    the mean loss against ``y`` and each row's argmax output."""
     net.eval()
     total = 0.0
     preds = np.empty(len(x), dtype=np.int64)
-    for start in range(0, len(x), batch_size):
-        xb = x[start : start + batch_size]
-        out = net.forward(xb)
-        loss, _ = loss_fn(y[start : start + batch_size], out)
-        total += loss * len(xb)
-        preds[start : start + len(xb)] = out.argmax(axis=1)
+    for start, out in net.batches(x):
+        loss, _ = loss_fn(y[start : start + len(out)], out)
+        total += loss * len(out)
+        preds[start : start + len(out)] = out.argmax(axis=1)
     return total / len(x), preds
 
 
@@ -63,33 +60,32 @@ class _MaskDraws:
         return out
 
 
-def train(net: Network, x: np.ndarray, y: np.ndarray | None, *, epochs: int,
-          batch_size: int, adam: Adam, rng: Rng, x_val: np.ndarray | None = None,
+def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int,
+          adam: Adam, rng: Rng, x_val: np.ndarray | None = None,
           y_val: np.ndarray | None = None, lr_step: int = 0, lr_factor: float = 0.5,
-          epoch_features=None, log=None) -> list[EpochRecord]:
+          log=None) -> list[EpochRecord]:
     """Train with Adam; deterministic given the rng seed.
 
-    y=None means autoencoder mode: the target of each batch is the batch
-    itself and the loss is MSE; otherwise y holds one-hot labels and the
-    loss is categorical cross-entropy. ``epoch_features`` optionally maps an
-    epoch index to that epoch's training features (used for on-the-fly
-    augmentation); targets follow the returned features in autoencoder mode.
+    ``x`` is the feature array, or a function of the epoch index that returns
+    that epoch's features (on-the-fly augmentation). y=None means autoencoder
+    mode: each batch is its own target and the loss is MSE; otherwise y holds
+    one-hot labels and the loss is categorical cross-entropy.
     """
-    if len(x) == 0:
-        raise ValueError("training dataset is empty")
     classify = y is not None
     loss_fn = cross_entropy_loss if classify else mse_loss
     alpha0 = adam.alpha
     history: list[EpochRecord] = []
-    width, mask_width = x.shape[1], 0  # mask draws per row: widths into Dropout with p > 0
-    for layer in net.layers:
-        mask_width += width if isinstance(layer, Dropout) and layer.p > 0.0 else 0
-        width = layer.out_width or width
     for epoch in range(epochs):
+        x_epoch = x(epoch) if callable(x) else x
+        if len(x_epoch) == 0:
+            raise ValueError("training dataset is empty")
         if lr_step:
             adam.alpha = lr_schedule(alpha0, epoch, lr_step, lr_factor)
-        x_epoch = epoch_features(epoch) if epoch_features is not None else x
         y_epoch = y if classify else x_epoch
+        width, mask_width = x_epoch.shape[1], 0  # per row: widths into Dropout with p > 0
+        for layer in net.layers:
+            mask_width += width if isinstance(layer, Dropout) and layer.p > 0.0 else 0
+            width = layer.out_width or width
         net.train()
         loss_sum, acc_sum = 0.0, 0.0
         masks = _MaskDraws(rng, len(x_epoch) * mask_width)

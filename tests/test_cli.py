@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import idx_image_bytes, idx_label_bytes
 
 from qhybrid.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from qhybrid.pipeline import StagePaths
@@ -101,6 +102,17 @@ def test_corrupt_idx_data_is_exit_2(make_config, synth_data, tmp_path, capsys):
     corrupt.write_bytes(synth_data["train_images"].read_bytes()[:-3])
     cfg = make_config(train_images=corrupt, out_dir=tmp_path / "c")
     assert main(["--config", str(cfg), "train-ae"]) == EXIT_CONFIG
+
+
+def test_empty_test_set_is_exit_2_before_training(make_config, tmp_path, capsys):
+    images, labels = tmp_path / "empty-images", tmp_path / "empty-labels"
+    images.write_bytes(idx_image_bytes(np.zeros((0, 28, 28), dtype=np.uint8)))
+    labels.write_bytes(idx_label_bytes(np.zeros(0, dtype=np.uint8)))
+    out_dir = tmp_path / "empty-test"
+    cfg = make_config(test_images=images, test_labels=labels, out_dir=out_dir, ae_epochs=1)
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG
+    assert "test_images" in capsys.readouterr().err
+    assert not StagePaths(out_dir).ae_model.exists()
 
 
 def test_check_mode_failure_is_exit_3(make_config, tmp_path, capsys):

@@ -3,7 +3,13 @@ import pytest
 
 from qhybrid.layers import BatchNorm, Dense, Dropout
 from qhybrid.losses import cross_entropy_loss, mse_loss
-from qhybrid.network import Autoencoder, Network, make_autoencoder, make_classifier
+from qhybrid.network import (
+    INFERENCE_BATCH,
+    Autoencoder,
+    Network,
+    make_autoencoder,
+    make_classifier,
+)
 from qhybrid.rng import Rng
 
 from test_layers import fd_gradient, rel_err
@@ -126,6 +132,30 @@ def test_autoencoder_encode_is_prefix_of_full_forward():
     for layer in ae.net.layers[:2]:
         manual = layer.forward(manual)
     assert np.array_equal(latent, manual)
+
+
+def test_batched_inference_matches_one_unbatched_pass():
+    # two full batches and a short one, through the whole classifier stack
+    net = make_classifier(12, Rng(5), hidden=(16, 8), n_classes=4, dropout=0.3).eval()
+    x = Rng(6).uniform((2 * INFERENCE_BATCH + 5) * 12).reshape(-1, 12)
+    starts = [start for start, _ in net.batches(x)]
+    assert starts == [0, INFERENCE_BATCH, 2 * INFERENCE_BATCH]
+    assert np.array_equal(net.predict(x), net.forward(x))
+    assert np.array_equal(net.predict(x, 2), net.layers[1].forward(net.layers[0].forward(x)))
+
+
+def test_inference_leaves_training_mode_alone():
+    net = make_classifier(4, Rng(5), hidden=(8,), n_classes=2, dropout=0.5).train()
+    x = Rng(6).uniform(10 * 4).reshape(10, 4)
+    out = net.predict(x)
+    assert net.training
+    assert np.array_equal(out, net.eval().forward(x))  # Dropout is off in predict
+
+
+def test_encode_of_zero_rows_is_empty_latent():
+    ae = make_autoencoder(Rng(4))
+    assert ae.encode(np.zeros((0, 784))).shape == (0, 64)
+    assert ae.reconstruct(np.zeros((0, 784))).shape == (0, 784)
 
 
 def test_autoencoder_save_load(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -111,19 +112,18 @@ def test_history_csv_columns(finished_run):
         assert 0.0 <= float(row[2]) <= 1.0
 
 
-def test_decoded_latents_reproduce_reported_val_mse(finished_run):
-    # the cached val latents, pushed through the decoder, must reproduce the
-    # autoencoder history's final validation MSE
+def test_cached_val_latents_and_reconstruction_match_reported_val_mse(finished_run):
+    # the cached val latents are the encoder's output for the val split, and
+    # reconstructing that split reproduces the history's final validation MSE
     cfg, paths, _ = finished_run
     ae = Autoencoder.load(paths.ae_model)
     latents = dict(load_archive(paths.latents))
     splits = load_splits(cfg)
     x_val = splits.val_images.reshape(len(splits.val_images), -1) / 255.0
-    recon = ae.decode(latents["latents/val"])
-    loss, _ = mse_loss(x_val, recon)
+    assert np.array_equal(latents["latents/val"], ae.encode(x_val))
+    loss, _ = mse_loss(x_val, ae.reconstruct(x_val))
     _, rows = read_csv(paths.ae_loss_csv)
-    reported = float(rows[-1][2])
-    assert abs(loss - reported) < 1e-9
+    assert abs(loss - float(rows[-1][2])) < 1e-9
 
 
 def test_encode_is_pure(finished_run):
@@ -195,6 +195,28 @@ def test_two_runs_byte_identical(make_config, tmp_path):
         a = (paths[0].out_dir / name).read_bytes()
         b = (paths[1].out_dir / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_train_ae_replaces_recon_images_and_reruns_without_them(make_config, tmp_path):
+    out_dir = tmp_path / "recon-run"
+    paths = StagePaths(out_dir)
+    first = load_config(make_config(name="a.cfg", out_dir=out_dir, seed=1, ae_epochs=1))
+    run_pipeline(first, "train-ae", log=_quiet)
+    assert len(list(paths.recon_dir.iterdir())) == 20
+    # 40 rows hold out 4 for validation: 4 pairs, and no seed-1 pair may stay
+    second = load_config(make_config(name="b.cfg", out_dir=out_dir, seed=2, ae_epochs=1,
+                                     train_subset=40))
+    run_pipeline(second, "train-ae", log=_quiet)
+    recon = {p.name: p.read_bytes() for p in paths.recon_dir.iterdir()}
+    assert sorted(recon) == sorted(f"recon_{i:02d}_{kind}.pgm"
+                                   for i in range(4) for kind in ("orig", "ae"))
+    manifest = paths.manifest.read_bytes()
+    shutil.rmtree(paths.recon_dir)
+    lines = []
+    run_pipeline(second, "train-ae", log=lines.append)
+    assert lines == ["[train-ae] running: output missing"]
+    assert {p.name: p.read_bytes() for p in paths.recon_dir.iterdir()} == recon
+    assert paths.manifest.read_bytes() == manifest
 
 
 def test_sampled_mode_records_metadata(make_config):

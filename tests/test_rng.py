@@ -69,11 +69,12 @@ def test_split_is_pure_and_label_sensitive():
 
 
 def test_bulk_matches_single_draw_path():
-    # uniform() and next_u64() must consume the same underlying stream
-    bulk = Rng(9).uniform(16)
-    rng = Rng(9)
-    singles = np.array([(rng.next_u64() >> 11) * 2.0**-53 for _ in range(16)])
+    # one uniform(16) call and 16 uniform(1) calls consume the same stream
+    bulk_rng, single_rng = Rng(9), Rng(9)
+    bulk = bulk_rng.uniform(16)
+    singles = np.concatenate([single_rng.uniform(1) for _ in range(16)])
     assert np.array_equal(bulk, singles)
+    assert np.array_equal(bulk_rng._state, single_rng._state)
 
 
 def _scalar_uniform(state, n):

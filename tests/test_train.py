@@ -1,4 +1,6 @@
+import ctypes
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,20 +112,31 @@ def test_empty_dataset_rejected():
               adam=Adam(), rng=Rng(0))
 
 
-def test_epoch_features_hook_drives_training_inputs():
-    # the hook swaps in a fixed alternative feature matrix; the run must
-    # behave exactly like training on that matrix directly
-    x = Rng(30).uniform(16 * 4).reshape(16, 4)
+def test_callable_x_drives_training_inputs():
+    # x given as a function of the epoch returns a fixed feature matrix; the
+    # run must behave exactly like training on that matrix directly
     x_alt = Rng(31).uniform(16 * 4).reshape(16, 4)
+    epochs_asked = []
 
-    net_hook = Network([Dense(4, 4, "sigmoid", rng=Rng(7))])
-    train(net_hook, x, None, epochs=2, batch_size=4, adam=Adam(), rng=Rng(3),
-          epoch_features=lambda epoch: x_alt)
+    def features(epoch):
+        epochs_asked.append(epoch)
+        return x_alt
+
+    net_fn = Network([Dense(4, 4, "sigmoid", rng=Rng(7))])
+    train(net_fn, features, None, epochs=2, batch_size=4, adam=Adam(), rng=Rng(3))
 
     net_direct = Network([Dense(4, 4, "sigmoid", rng=Rng(7))])
     train(net_direct, x_alt, None, epochs=2, batch_size=4, adam=Adam(), rng=Rng(3))
 
-    assert np.array_equal(net_hook.layers[0].W, net_direct.layers[0].W)
+    assert epochs_asked == [0, 1]
+    assert np.array_equal(net_fn.layers[0].W, net_direct.layers[0].W)
+
+
+def test_callable_x_returning_no_rows_rejected():
+    net = _toy_net()
+    with pytest.raises(ValueError, match="empty"):
+        train(net, lambda epoch: np.zeros((0, 2)), np.zeros((0, 2)), epochs=1,
+              batch_size=2, adam=Adam(), rng=Rng(0))
 
 
 def test_lr_step_changes_trajectory():
@@ -152,17 +165,35 @@ def _one_hot(rng, n, k):
     return y
 
 
-def _digests(net, rng):
+def _blas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS runs, for example SkylakeX."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        return "unknown (no bundled OpenBLAS)"
+    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _check_digests(net, rng, params_by_core, rng_state):
     h = hashlib.sha256()
     for name, arr in net.archive_entries():
         h.update(name.encode())
         h.update(arr.tobytes())
-    return h.hexdigest(), hashlib.sha256(rng._state.tobytes()).hexdigest()
+    core, params = _blas_core(), h.hexdigest()
+    assert core in params_by_core, f"no parameter digest recorded for BLAS core {core}: {params}"
+    assert params == params_by_core[core], f"BLAS core {core}"
+    assert hashlib.sha256(rng._state.tobytes()).hexdigest() == rng_state
 
 
 # Digests of the trained parameters and the final loop-rng state, recorded
 # with per-tensor Adam and one uniform call per Dropout mask; the flat
 # parameter vector, blocked Adam and chunked mask draws must reproduce them.
+# Parameter bits depend on OpenBLAS's kernel (Dense's matmuls round
+# differently under AVX-512 and AVX2), so each core keeps one digest of its
+# own: SkylakeX on AVX-512 hosts, Haswell on AVX2-only ones (OpenBLAS also
+# runs its Haswell kernels for Zen). The rng state does not depend on BLAS.
 
 def test_pinned_digests_classifier_short_last_batch():
     data = Rng(60)
@@ -171,10 +202,10 @@ def test_pinned_digests_classifier_short_last_batch():
     net = make_classifier(12, Rng(61), hidden=(16, 8), n_classes=4, dropout=0.3)
     rng = Rng(62)
     train(net, x, y, epochs=2, batch_size=8, adam=Adam(alpha=0.01), rng=rng)
-    assert _digests(net, rng) == (
-        "0feb9289fe73a092f71886cf6b1c20e3582b42a1e2b9a043f4148363ac8eba2f",
-        "2305354830928b4f62674adf8c8bf7ff63eb6d1638794890ea29e5c0204694b9",
-    )
+    _check_digests(net, rng, {
+        "SkylakeX": "0feb9289fe73a092f71886cf6b1c20e3582b42a1e2b9a043f4148363ac8eba2f",
+        "Haswell": "8a10ae4a0a64812027ad750958eaedbbeb0c739ad2d2cda67740d26b5d03f458",
+    }, "2305354830928b4f62674adf8c8bf7ff63eb6d1638794890ea29e5c0204694b9")
 
 
 def test_pinned_digests_classifier_masks_cross_chunk():
@@ -187,10 +218,10 @@ def test_pinned_digests_classifier_masks_cross_chunk():
     net = make_classifier(8, Rng(71), hidden=(100, 50, 30), dropout=0.3)
     rng = Rng(72)
     train(net, x, y, epochs=2, batch_size=64, adam=Adam(), rng=rng, lr_step=1)
-    assert _digests(net, rng) == (
-        "dab798e34313e2dc39312f095cffbd099ee5dc300bcbcb6653b7d61edf693f1c",
-        "64ec7b8b79b50f223978beaf60bf454ab200eb329ba407978d829ec641e18818",
-    )
+    _check_digests(net, rng, {
+        "SkylakeX": "dab798e34313e2dc39312f095cffbd099ee5dc300bcbcb6653b7d61edf693f1c",
+        "Haswell": "39ea9937a13d2c4818505f1bbbb3774da4abcd44ba115f59b99a37d6860b8b41",
+    }, "64ec7b8b79b50f223978beaf60bf454ab200eb329ba407978d829ec641e18818")
 
 
 def test_pinned_digests_autoencoder():
@@ -199,7 +230,7 @@ def test_pinned_digests_autoencoder():
     ae = make_autoencoder(Rng(81), input_width=100, hidden=128, latent=16)
     rng = Rng(82)
     train(ae.net, x, None, epochs=2, batch_size=16, adam=Adam(alpha=0.005), rng=rng)
-    assert _digests(ae.net, rng) == (
-        "1201e74a5f0527669274aa49489636b4314fc24b01328baf8f8417dd468d953d",
-        "c5375697369dd10cbb90ad3e4445ec4f4ecbea7409c3a82d00102e56930fe2aa",
-    )
+    _check_digests(ae.net, rng, {
+        "SkylakeX": "1201e74a5f0527669274aa49489636b4314fc24b01328baf8f8417dd468d953d",
+        "Haswell": "d25ff446a7a88abeeff43eed44bef8e568174d9d9ddd762ed9defb6cdca8ffbd",
+    }, "c5375697369dd10cbb90ad3e4445ec4f4ecbea7409c3a82d00102e56930fe2aa")
