@@ -37,11 +37,12 @@ class DuplicateNameError(ArchiveError):
 
 
 def save_archive(entries, path) -> None:
-    """Write (name, tensor) pairs; preserves order, rejects duplicate names."""
+    """Write (name, tensor) pairs; preserves order, rejects duplicate names.
+
+    Each tensor's own buffer goes to the file; no file-sized copy is built."""
     seen = set()
-    blob = bytearray(MAGIC)
     entries = list(entries)
-    blob += struct.pack("<I", len(entries))
+    chunks = [MAGIC + struct.pack("<I", len(entries))]
     for name, tensor in entries:
         if not name:
             raise ArchiveError("archive entry name must be non-empty")
@@ -52,21 +53,21 @@ def save_archive(entries, path) -> None:
         if any(d < 1 for d in arr.shape):
             raise ArchiveError(f"entry {name!r} has non-positive dimension: {arr.shape}")
         encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        blob += arr.data
-    write_atomic(path, blob)
+        chunks.append(struct.pack("<I", len(encoded)) + encoded
+                      + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+        chunks.append(arr.data)
+    write_atomic(path, *chunks)
 
 
-def write_atomic(path, data: bytes | bytearray) -> None:
-    """Write bytes to a temp file beside ``path``, then rename it into place,
-    so a reader never sees a half-written file under the final name."""
+def write_atomic(path, *chunks) -> None:
+    """Write the byte buffers, in order, to a temp file beside ``path``, then
+    rename it into place, so a reader never sees a half-written file under
+    the final name."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -74,34 +75,43 @@ def write_atomic(path, data: bytes | bytearray) -> None:
 
 
 def load_archive(path) -> list[tuple[str, np.ndarray]]:
-    """Read back (name, tensor) pairs in the order they were saved."""
-    raw = memoryview(Path(path).read_bytes())  # slices of it copy nothing
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagicError(f"not a model archive (bad magic): {path}")
-    offset = 4
+    """Read back (name, tensor) pairs in the order they were saved; each
+    payload is read straight into its own array."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(4) != MAGIC:
+            raise BadMagicError(f"not a model archive (bad magic): {path}")
+        offset = 4
 
-    def take(n: int) -> memoryview:
-        nonlocal offset
-        if offset + n > len(raw):
-            raise TruncatedArchiveError(f"archive truncated at byte {offset}: {path}")
-        chunk = raw[offset : offset + n]
-        offset += n
-        return chunk
+        def claim(n: int) -> None:
+            # checked against the file size before anything n bytes long is allocated
+            nonlocal offset
+            if offset + n > size:
+                raise TruncatedArchiveError(f"archive truncated at byte {offset}: {path}")
+            offset += n
 
-    (count,) = struct.unpack("<I", take(4))
-    entries: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = str(take(name_len), "utf-8")
-        if name in seen:
-            raise DuplicateNameError(f"duplicate archive entry name: {name!r}")
-        seen.add(name)
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        size = 1
-        for d in shape:
-            size *= d
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
-        entries.append((name, data.astype(np.float64, copy=True)))
+        def take(n: int) -> bytes:
+            claim(n)
+            return f.read(n)
+
+        (count,) = struct.unpack("<I", take(4))
+        entries: list[tuple[str, np.ndarray]] = []
+        seen: set[str] = set()
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            name = str(take(name_len), "utf-8")
+            if name in seen:
+                raise DuplicateNameError(f"duplicate archive entry name: {name!r}")
+            seen.add(name)
+            (rank,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{rank}Q", take(8 * rank))
+            n_values = 1
+            for d in shape:
+                n_values *= d
+            at = offset
+            claim(8 * n_values)
+            data = np.empty(shape, dtype="<f8")
+            if f.readinto(data) != data.nbytes:
+                raise TruncatedArchiveError(f"archive truncated at byte {at}: {path}")
+            entries.append((name, data))
     return entries

@@ -4,6 +4,9 @@ IDX files are big-endian: a 32-bit magic, dimension sizes, then raw bytes.
 Gzip-compressed files are detected by their 0x1f 0x8b prefix and inflated
 transparently.
 
+Pixels stay uint8 until a batch needs them: ``PixelRows`` normalises only the
+rows it is indexed with, so no float64 copy of a whole split is ever held.
+
 Augmentation transforms whole (N, 28, 28) stacks. Each enabled transform
 draws a fixed count of uniforms per image, and a stack is drawn in chunks of
 AUGMENT_CHUNK images that consume the stream as per-image draws would.
@@ -126,7 +129,27 @@ def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
 
 def normalize_and_flatten(images: np.ndarray) -> np.ndarray:
     """Scale (N, 28, 28) pixels by 1/255 and flatten each grid row-major."""
-    return images.reshape(len(images), -1).astype(np.float64) / 255.0
+    rows = images.reshape(len(images), -1).astype(np.float64)
+    rows /= 255.0  # in place: one float64 array per call, not two
+    return rows
+
+
+class PixelRows:
+    """Read-only (N, 784) view of an (N, 28, 28) uint8 stack as normalised
+    rows. Indexing it with an index array or a slice returns
+    ``normalize_and_flatten`` of just those images; the division is
+    elementwise, so a batch has the same bits as the same rows of the whole
+    normalised split."""
+
+    def __init__(self, images: np.ndarray):
+        self.images = images
+        self.shape = (len(images), int(np.prod(images.shape[1:])))
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return normalize_and_flatten(self.images[idx])
 
 
 def _gather(images: np.ndarray, src_r: np.ndarray, src_c: np.ndarray) -> np.ndarray:
@@ -183,12 +206,14 @@ def augment(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
     return out
 
 
-def batch_iter(features: np.ndarray, labels: np.ndarray, batch_size: int, *,
+def batch_iter(features, labels: np.ndarray | None, batch_size: int, *,
                shuffle: bool = False, rng: Rng | None = None):
     """Yield (features, labels) batches covering every row exactly once.
 
     The last batch may be short. With shuffle=True the epoch order is a
     permutation drawn from rng, so identical seeds give identical epochs.
+    With labels=None each feature batch is gathered once and is also its own
+    target: (xb, xb).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -201,4 +226,5 @@ def batch_iter(features: np.ndarray, labels: np.ndarray, batch_size: int, *,
         order = np.arange(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield features[idx], labels[idx]
+        xb = features[idx]
+        yield xb, xb if labels is None else labels[idx]

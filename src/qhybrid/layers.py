@@ -1,9 +1,13 @@
 """Network layers with hand-coded forward and backward passes.
 
 Every layer follows the same protocol: ``forward(x, training=..., rng=...)``
-caches whatever the matching ``backward(grad)`` needs, and ``backward``
-returns the gradient with respect to the layer input while writing parameter
-gradients in place into the layer's ``grad_*`` arrays (views, in a Network).
+caches whatever the matching ``backward(grad, input_grad=...)`` needs, and
+``backward`` writes parameter gradients in place into the layer's ``grad_*``
+arrays (views, in a Network) and returns the gradient with respect to the
+layer input. With ``input_grad=False`` (a network's first layer, whose input
+gradient nothing reads) it skips that last product and returns the gradient
+it stopped at: Dense's dL/d(pre-activation), or ``grad`` itself for the
+parameter-free layers.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class Dense:
             self._x, self._z, self._a = x, z, a
         return a
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         """grad is dL/d(output); for softmax it is dL/d(logits) directly,
         because cross_entropy_loss already folds the softmax Jacobian in."""
         if self._x is None:
@@ -82,7 +86,7 @@ class Dense:
             gz = grad
         np.matmul(gz.T, self._x, out=self.grad_W)
         gz.sum(axis=0, out=self.grad_b)
-        return gz @ self.W
+        return gz @ self.W if input_grad else gz
 
     def params(self):
         return [("W", self.W), ("b", self.b)]
@@ -132,9 +136,11 @@ class BatchNorm:
             return xhat
         return (h - self.running_mean) / np.sqrt(self.running_var + self.eps)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         if self._xhat is None:
             raise RuntimeError("backward called without a cached training forward")
+        if not input_grad:
+            return grad
         xhat, inv_std = self._xhat, self._inv_std
         n = grad.shape[0]
         grad_sum = grad.sum(axis=0)
@@ -173,10 +179,10 @@ class Dropout:
         self._scaled_mask = (u >= self.p) / (1.0 - self.p)
         return h * self._scaled_mask
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         if self._scaled_mask is None:
             raise RuntimeError("backward called without a cached training forward")
-        return grad * self._scaled_mask
+        return grad * self._scaled_mask if input_grad else grad
 
     def params(self):
         return []

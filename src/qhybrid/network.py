@@ -62,29 +62,32 @@ class Network:
         self._forward_armed = self.training
         return out
 
-    def batches(self, x: np.ndarray, stop: int | None = None):
-        """Yield (start, inference-mode output of layers[:stop]) per INFERENCE_BATCH rows."""
+    def batches(self, x, stop: int | None = None):
+        """Yield (start, input rows, inference-mode output of layers[:stop])
+        per INFERENCE_BATCH rows; x is an array or a ``data.PixelRows`` view."""
         for start in range(0, len(x), INFERENCE_BATCH):
-            out = x[start : start + INFERENCE_BATCH]
+            out = rows = x[start : start + INFERENCE_BATCH]
             for layer in self.layers[:stop]:
                 out = layer.forward(out, training=False)
-            yield start, out
+            yield start, rows, out
 
-    def predict(self, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+    def predict(self, x, stop: int | None = None) -> np.ndarray:
         """The output of ``layers[:stop]`` for every row of x, in inference mode."""
         widths = [layer.out_width for layer in self.layers[:stop] if layer.out_width]
         out = np.empty((len(x), widths[-1] if widths else x.shape[1]))
-        for start, batch in self.batches(x, stop):
+        for start, _, batch in self.batches(x, stop):
             out[start : start + len(batch)] = batch
         return out
 
     def backward(self, loss_grad: np.ndarray) -> None:
-        """Propagate dL/d(output) back through every layer, filling grads."""
+        """Propagate dL/d(output) back through every layer, filling grads.
+        Nothing reads the gradient with respect to the network's input, so
+        the first layer does not compute it."""
         if not self._forward_armed:
             raise RuntimeError("backward requires a preceding forward in training mode")
         grad = loss_grad
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for i in reversed(range(len(self.layers))):
+            grad = self.layers[i].backward(grad, input_grad=i > 0)
         self._forward_armed = False
 
     def params(self) -> list[np.ndarray]:
@@ -165,7 +168,7 @@ class Autoencoder:
         self.net = net
         self.latent_layers = latent_layers
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
+    def encode(self, x) -> np.ndarray:
         """Latent representation, evaluated in inference mode."""
         return self.net.predict(x, self.latent_layers)
 

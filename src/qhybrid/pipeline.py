@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +26,7 @@ import numpy as np
 
 from .archive import load_archive, save_archive, write_atomic
 from .config import PATH_KEYS, ExperimentConfig, require_data
-from .data import AugmentSpec, augment, load_raw_dataset, normalize_and_flatten, one_hot
+from .data import AugmentSpec, PixelRows, augment, load_raw_dataset, one_hot
 from .network import Autoencoder, Network, make_autoencoder, make_classifier
 from .optim import Adam
 from .qfeatures import LAYOUTS, MODES, ScalingStats, transform_features
@@ -112,16 +114,15 @@ def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
 
 def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> None:
     rng = Rng(cfg.seed).split("train-ae")
-    x_val = normalize_and_flatten(splits.val_images)
+    x_val = PixelRows(splits.val_images)
     ae = make_autoencoder(rng.split("init"))
     if cfg.augment and cfg.augment_stage in ("ae", "both"):
         spec = _augment_spec(cfg)
 
-        def x_train(epoch: int) -> np.ndarray:
-            fresh = augment(splits.train_images, spec, rng.split(f"augment/{epoch}"))
-            return normalize_and_flatten(fresh)
+        def x_train(epoch: int) -> PixelRows:
+            return PixelRows(augment(splits.train_images, spec, rng.split(f"augment/{epoch}")))
     else:
-        x_train = normalize_and_flatten(splits.train_images)
+        x_train = PixelRows(splits.train_images)
 
     history = train(
         ae.net, x_train, None,
@@ -134,10 +135,10 @@ def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> 
     paths.recon_dir.mkdir(parents=True, exist_ok=True)
     for stale in paths.recon_dir.glob("recon_*.pgm"):  # a smaller val split writes fewer
         stale.unlink()
-    n_pairs = min(10, len(x_val))
-    recon = ae.reconstruct(x_val[:n_pairs])
-    for i in range(n_pairs):
-        write_pgm(paths.recon_dir / f"recon_{i:02d}_orig.pgm", x_val[i].reshape(28, 28))
+    originals = x_val[:10]
+    recon = ae.reconstruct(originals)
+    for i in range(len(originals)):
+        write_pgm(paths.recon_dir / f"recon_{i:02d}_orig.pgm", originals[i].reshape(28, 28))
         write_pgm(paths.recon_dir / f"recon_{i:02d}_ae.pgm", recon[i].reshape(28, 28))
 
 
@@ -155,11 +156,11 @@ def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> No
         train_images = np.concatenate([train_images, *copies], axis=0)
         train_labels = np.tile(splits.train_labels, 1 + cfg.augment_copies)
     entries = [
-        ("latents/train", ae.encode(normalize_and_flatten(train_images))),
+        ("latents/train", ae.encode(PixelRows(train_images))),
         ("labels/train", train_labels.astype(np.float64)),
-        ("latents/val", ae.encode(normalize_and_flatten(splits.val_images))),
+        ("latents/val", ae.encode(PixelRows(splits.val_images))),
         ("labels/val", splits.val_labels.astype(np.float64)),
-        ("latents/test", ae.encode(normalize_and_flatten(splits.test_images))),
+        ("latents/test", ae.encode(PixelRows(splits.test_images))),
         ("labels/test", splits.test_labels.astype(np.float64)),
     ]
     save_archive(entries, paths.latents)
@@ -379,10 +380,15 @@ class PipelineRun:
         if self.records.pop(name, None) is not None:
             self._save_records()
         fields = {field: getattr(self.cfg, field) for field in stage.reads}
+        start, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         try:
             stage.run(SimpleNamespace(**fields), self.paths, self._load_splits)
         except Exception as exc:
             raise StageError(f"{name}: {exc}") from exc
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.log(f"[{name}] done: {time.perf_counter() - start:.3f} s, "
+                 f"maxrss {usage.ru_maxrss / 1024:.1f} MB, "
+                 f"{usage.ru_minflt - faults} minor faults")
         self.records[name] = record
         self._save_records()
         self.ran.add(name)

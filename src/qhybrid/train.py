@@ -30,14 +30,15 @@ class EpochRecord:
     val_acc: float | None = None
 
 
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray, loss_fn) -> tuple[float, np.ndarray]:
+def evaluate(net: Network, x, y: np.ndarray | None, loss_fn) -> tuple[float, np.ndarray]:
     """Inference-mode loss over a full set, in ``Network.batches``; returns
-    the mean loss against ``y`` and each row's argmax output."""
+    the mean loss against ``y`` and each row's argmax output. With y=None
+    each input batch is its own target (autoencoder mode)."""
     net.eval()
     total = 0.0
     preds = np.empty(len(x), dtype=np.int64)
-    for start, out in net.batches(x):
-        loss, _ = loss_fn(y[start : start + len(out)], out)
+    for start, rows, out in net.batches(x):
+        loss, _ = loss_fn(rows if y is None else y[start : start + len(out)], out)
         total += loss * len(out)
         preds[start : start + len(out)] = out.argmax(axis=1)
     return total / len(x), preds
@@ -67,9 +68,11 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
     """Train with Adam; deterministic given the rng seed.
 
     ``x`` is the feature array, or a function of the epoch index that returns
-    that epoch's features (on-the-fly augmentation). y=None means autoencoder
-    mode: each batch is its own target and the loss is MSE; otherwise y holds
-    one-hot labels and the loss is categorical cross-entropy.
+    that epoch's features (on-the-fly augmentation); either may be a
+    ``data.PixelRows`` view that normalises one batch at a time. y=None means
+    autoencoder mode: each batch is gathered once, is its own target, and the
+    loss is MSE; otherwise y holds one-hot labels and the loss is categorical
+    cross-entropy.
     """
     classify = y is not None
     loss_fn = cross_entropy_loss if classify else mse_loss
@@ -81,7 +84,6 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
             raise ValueError("training dataset is empty")
         if lr_step:
             adam.alpha = lr_schedule(alpha0, epoch, lr_step, lr_factor)
-        y_epoch = y if classify else x_epoch
         width, mask_width = x_epoch.shape[1], 0  # per row: widths into Dropout with p > 0
         for layer in net.layers:
             mask_width += width if isinstance(layer, Dropout) and layer.p > 0.0 else 0
@@ -89,7 +91,7 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
         net.train()
         loss_sum, acc_sum = 0.0, 0.0
         masks = _MaskDraws(rng, len(x_epoch) * mask_width)
-        for xb, yb in batch_iter(x_epoch, y_epoch, batch_size, shuffle=True, rng=rng):
+        for xb, yb in batch_iter(x_epoch, y, batch_size, shuffle=True, rng=rng):
             out = net.forward(xb, rng=masks)
             loss, grad = loss_fn(yb, out)
             if not np.isfinite(loss):
@@ -104,7 +106,7 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
         if classify:
             record.train_acc = acc_sum / n
         if x_val is not None:
-            record.val_loss, preds = evaluate(net, x_val, y_val if classify else x_val, loss_fn)
+            record.val_loss, preds = evaluate(net, x_val, y_val if classify else None, loss_fn)
             if classify:
                 record.val_acc = float(np.sum(preds == y_val.argmax(axis=1))) / len(x_val)
         if log is not None:

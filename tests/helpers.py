@@ -6,6 +6,9 @@ import numpy as np
 
 from qhybrid.data import IMAGE_MAGIC, LABEL_MAGIC
 
+# The line a stage prints when it has run; %s is the stage name
+DONE = r"\[%s\] done: \d+\.\d{3} s, maxrss \d+\.\d MB, \d+ minor faults"
+
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
     n, rows, cols = images.shape

@@ -70,6 +70,34 @@ def test_truncated_payload(tmp_path):
         load_archive(path)
 
 
+def test_every_truncation_point_is_an_archive_error(tmp_path):
+    path = tmp_path / "t.qhm"
+    save_archive([("ab", np.arange(6.0).reshape(2, 3)), ("c", np.ones(2))], path)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(BadMagicError if cut < 4 else TruncatedArchiveError):
+            load_archive(path)
+
+
+def test_payload_larger_than_the_file_is_truncation(tmp_path):
+    # a header that declares 2**40 x 2**40 values fails on the file size, before any allocation
+    path = tmp_path / "huge.qhm"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 1) + b"x" + struct.pack("<I2Q", 2, 2**40, 2**40))
+    with pytest.raises(TruncatedArchiveError, match="byte 33"):
+        load_archive(path)
+
+
+def test_non_contiguous_and_integer_tensors_are_saved_as_float64(tmp_path):
+    fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    strided = np.arange(20.0)[::3]
+    ints = np.arange(5)
+    path = tmp_path / "mixed.qhm"
+    save_archive([("f", fortran), ("s", strided), ("i", ints)], path)
+    for (_, back), orig in zip(load_archive(path), (fortran, strided, ints)):
+        assert back.tobytes() == np.ascontiguousarray(orig, dtype=np.float64).tobytes()
+
+
 def test_truncated_header(tmp_path):
     path = tmp_path / "h.qhm"
     path.write_bytes(MAGIC + struct.pack("<I", 2))

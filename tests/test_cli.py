@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from helpers import idx_image_bytes, idx_label_bytes
+from helpers import DONE, idx_image_bytes, idx_label_bytes
 
 from qhybrid.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from qhybrid.pipeline import StagePaths
@@ -90,11 +92,11 @@ def test_missing_data_path_is_exit_2(tmp_path, capsys):
 def test_stage_verb_runs_its_missing_upstream(make_config, tmp_path, capsys):
     cfg = make_config(out_dir=tmp_path / "empty-run")
     assert main(["--config", str(cfg), "encode"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("[")] == [
-        "[train-ae] running: no record",
-        "[encode] running: no record",
-    ]
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(lines) == 4
+    for line, wanted in zip(lines, [r"\[train-ae\] running: no record", DONE % "train-ae",
+                                    r"\[encode\] running: no record", DONE % "encode"]):
+        assert re.fullmatch(wanted, line), line
 
 
 def test_corrupt_idx_data_is_exit_2(make_config, synth_data, tmp_path, capsys):

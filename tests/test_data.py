@@ -10,6 +10,7 @@ from qhybrid.data import (
     AugmentSpec,
     IdxFormatError,
     IdxTruncatedError,
+    PixelRows,
     RawDataset,
     _rotate,
     _shift,
@@ -94,6 +95,32 @@ def test_normalize_and_flatten_values():
     assert features[0, 2 * 28 + 3] == pytest.approx(0.2)
     assert features[0, 5] == 0.0
     assert one_hot(np.array([4], dtype=np.uint8))[0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+
+
+def test_pixel_rows_batches_equal_rows_of_the_normalised_split():
+    images = (Rng(12).uniform(9 * 784) * 256).astype(np.uint8).reshape(9, 28, 28)
+    rows = PixelRows(images)
+    whole = normalize_and_flatten(images)
+    assert len(rows) == 9 and rows.shape == whole.shape == (9, 784)
+    for idx in (np.array([7, 0, 3, 3]), slice(2, 6), slice(8, 20)):
+        assert rows[idx].dtype == np.float64
+        assert rows[idx].tobytes() == whole[idx].tobytes()
+    assert PixelRows(images[:0]).shape == (0, 784)
+
+
+def test_batch_iter_without_labels_gathers_each_batch_once():
+    gathers = []
+
+    class Counted(np.ndarray):
+        def __getitem__(self, idx):
+            gathers.append(idx)
+            return np.asarray(self)[idx]
+
+    x = np.arange(10.0).reshape(10, 1).view(Counted)
+    batches = list(batch_iter(x, None, 4, shuffle=True, rng=Rng(3)))
+    assert len(gathers) == len(batches) == 3
+    for xb, yb in batches:
+        assert yb is xb
 
 
 def test_normalize_bounds_and_onehot_rows():

@@ -253,3 +253,22 @@ def test_dense_backward_in_place_matches_allocating_form(activation):
     assert layer.grad_W.tobytes() == (gz.T @ x).tobytes()
     assert layer.grad_b.tobytes() == gz.sum(axis=0).tobytes()
     assert gx.tobytes() == (gz @ layer.W).tobytes()
+
+
+def test_backward_without_input_gradient_writes_the_same_parameter_gradients():
+    rng = Rng(322)
+    x = rng.uniform(11 * 9).reshape(11, 9) - 0.5
+    grad = rng.uniform(11 * 6).reshape(11, 6) - 0.5
+    layers = [Dense(9, 6, "relu", rng=Rng(323)), Dense(9, 6, "relu", rng=Rng(323))]
+    for layer in layers:
+        layer.forward(x, training=True)
+    full = layers[0].backward(grad)
+    gz = layers[1].backward(grad, input_grad=False)
+    assert full.shape == x.shape and gz.tobytes() == (grad * (layers[1]._z > 0)).tobytes()
+    assert layers[0].grad_W.tobytes() == layers[1].grad_W.tobytes()
+    assert layers[0].grad_b.tobytes() == layers[1].grad_b.tobytes()
+    bn, drop = BatchNorm(6), Dropout(0.5)
+    bn.forward(grad, training=True)
+    drop.forward(grad, training=True, rng=Rng(4))
+    assert bn.backward(grad, input_grad=False) is grad
+    assert drop.backward(grad, input_grad=False) is grad

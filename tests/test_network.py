@@ -138,7 +138,7 @@ def test_batched_inference_matches_one_unbatched_pass():
     # two full batches and a short one, through the whole classifier stack
     net = make_classifier(12, Rng(5), hidden=(16, 8), n_classes=4, dropout=0.3).eval()
     x = Rng(6).uniform((2 * INFERENCE_BATCH + 5) * 12).reshape(-1, 12)
-    starts = [start for start, _ in net.batches(x)]
+    starts = [start for start, _, _ in net.batches(x)]
     assert starts == [0, INFERENCE_BATCH, 2 * INFERENCE_BATCH]
     assert np.array_equal(net.predict(x), net.forward(x))
     assert np.array_equal(net.predict(x, 2), net.layers[1].forward(net.layers[0].forward(x)))
@@ -214,3 +214,23 @@ def test_backward_fills_the_flat_gradient_vector():
     out = net.forward(rng.uniform(4 * 6).reshape(4, 6), rng=Rng(3))
     net.backward(cross_entropy_loss(np.eye(4), out)[1])
     assert np.array_equal(np.concatenate([g.ravel() for g in net.grads()]), net.grad_vector)
+
+
+def test_backward_skips_only_the_first_layers_input_gradient():
+    x = Rng(30).uniform(8 * 6).reshape(8, 6)
+    nets = [make_classifier(6, Rng(31), hidden=(5, 4), n_classes=3, dropout=0.0).train()
+            for _ in range(2)]
+    flags = []
+    for i, layer in enumerate(nets[0].layers):
+        def spy(grad, *, input_grad=True, _backward=layer.backward, _i=i):
+            flags.append((_i, input_grad))
+            return _backward(grad, input_grad=input_grad)
+        layer.backward = spy
+    for net in nets:
+        grad = cross_entropy_loss(np.eye(3)[np.arange(8) % 3], net.forward(x))[1]
+    nets[0].backward(grad)
+    for layer in reversed(nets[1].layers):  # every input gradient, the old way
+        grad = layer.backward(grad)
+    n = len(nets[0].layers)
+    assert flags == [(i, i > 0) for i in reversed(range(n))]
+    assert nets[0].grad_vector.tobytes() == nets[1].grad_vector.tobytes()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import write_synthetic_idx
+from helpers import DONE, write_synthetic_idx
 
 from qhybrid.archive import load_archive
 from qhybrid.cli import EXIT_OK, main
@@ -214,7 +214,8 @@ def test_train_ae_replaces_recon_images_and_reruns_without_them(make_config, tmp
     shutil.rmtree(paths.recon_dir)
     lines = []
     run_pipeline(second, "train-ae", log=lines.append)
-    assert lines == ["[train-ae] running: output missing"]
+    assert lines[0] == "[train-ae] running: output missing"
+    assert len(lines) == 2 and re.fullmatch(DONE % "train-ae", lines[1]), lines
     assert {p.name: p.read_bytes() for p in paths.recon_dir.iterdir()} == recon
     assert paths.manifest.read_bytes() == manifest
 
@@ -255,6 +256,32 @@ def test_augmented_encode_expands_training_rows(make_config, tmp_path):
     # originals keep their leading positions, labels replicate in order
     assert np.array_equal(entries["labels/train"][:234], entries["labels/train"][234:468])
     assert entries["latents/val"].shape == (26, 64)
+
+
+@pytest.mark.parametrize("augment", ["false", "true"])
+def test_train_ae_and_encode_normalise_one_batch_at_a_time(make_config, tmp_path, monkeypatch,
+                                                          augment):
+    # 16 rows per inference batch and 8 per training batch, against 234 training rows
+    import qhybrid.data
+    from qhybrid.pipeline import stage_encode, stage_train_ae
+
+    monkeypatch.setattr("qhybrid.network.INFERENCE_BATCH", 16)
+    sizes = []
+
+    def recording(images, _normalize=qhybrid.data.normalize_and_flatten):
+        sizes.append(len(images))
+        return _normalize(images)
+
+    monkeypatch.setattr("qhybrid.data.normalize_and_flatten", recording)
+    monkeypatch.setattr("qhybrid.pipeline.normalize_and_flatten", recording, raising=False)
+    cfg = load_config(make_config(augment=augment, augment_stage="both", augment_copies="1",
+                                  ae_batch=8, out_dir=tmp_path / "batched"))
+    paths = StagePaths(cfg.out_dir)
+    paths.out_dir.mkdir(parents=True)
+    splits = load_splits(cfg)
+    stage_train_ae(cfg, paths, splits)
+    stage_encode(cfg, paths, splits)
+    assert sum(sizes) > 2 * 234 and max(sizes) <= 16
 
 
 def _tree(out_dir):

@@ -5,9 +5,10 @@ import pytest
 
 from qhybrid.qfeatures import (
     N_BLOCKS,
-    SAMPLE_CHUNK,
+    CHUNK_VALUES,
     ScalingStats,
     block_angles,
+    block_probabilities,
     build_block_circuit,
     encode_angles,
     scale_unit,
@@ -163,6 +164,17 @@ def test_exact_mode_deterministic():
                           transform_features(latents, stats))
 
 
+@pytest.mark.parametrize("layout", ["marginal", "histogram"])
+def test_exact_mode_in_row_chunks_matches_one_pass(layout, monkeypatch):
+    # 2000 values a chunk: 4 rows in either layout, the last chunk short
+    monkeypatch.setattr("qhybrid.qfeatures.CHUNK_VALUES", 2000)
+    stats = ScalingStats.fit(Rng(5).uniform(40 * 64).reshape(40, 64) * 4.0 - 2.0)
+    latents = Rng(6).uniform(37 * 64).reshape(37, 64) * 4.0 - 2.0
+    whole = block_probabilities(block_angles(scale_unit(latents, stats)), layout)
+    features = transform_features(latents, stats, layout=layout)
+    assert features.tobytes() == whole.reshape(37, -1).tobytes()
+
+
 def test_sampled_mode_deterministic_per_seed():
     latents = Rng(5).uniform(2 * 64).reshape(2, 64)
     stats = ScalingStats.fit(latents)
@@ -207,7 +219,7 @@ def test_sampled_features_match_pinned_digests(layout, n_rows, shots):
     # 10 rows at 1024 shots is one chunk and one row; 5 rows at 4096 shots
     # is three chunks, the last one partial; 3 rows at 1 shot is one chunk
     # too small for the lane path
-    assert SAMPLE_CHUNK // (N_BLOCKS * 1024) == 9 and SAMPLE_CHUNK // (N_BLOCKS * 4096) == 2
+    assert CHUNK_VALUES // (N_BLOCKS * 1024) == 9 and CHUNK_VALUES // (N_BLOCKS * 4096) == 2
     stats = ScalingStats.fit(Rng(2).uniform(40 * 64).reshape(40, 64) * 4.0 - 2.0)
     latents = Rng(3).uniform(n_rows * 64).reshape(n_rows, 64) * 4.0 - 2.0
     features = transform_features(latents, stats, mode="sampled", shots=shots, rng=Rng(21),

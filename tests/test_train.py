@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qhybrid.data import PixelRows, normalize_and_flatten
 from qhybrid.losses import cross_entropy_loss, mse_loss
-from qhybrid.network import Network, make_autoencoder, make_classifier
+from qhybrid.network import INFERENCE_BATCH, Network, make_autoencoder, make_classifier
 from qhybrid.layers import Dense
 from qhybrid.optim import Adam
 from qhybrid.rng import Rng
@@ -234,3 +235,41 @@ def test_pinned_digests_autoencoder():
         "SkylakeX": "1201e74a5f0527669274aa49489636b4314fc24b01328baf8f8417dd468d953d",
         "Haswell": "d25ff446a7a88abeeff43eed44bef8e568174d9d9ddd762ed9defb6cdca8ffbd",
     }, "c5375697369dd10cbb90ad3e4445ec4f4ecbea7409c3a82d00102e56930fe2aa")
+
+
+def _pixels(seed, n):
+    return (Rng(seed).uniform(n * 784) * 256).astype(np.uint8).reshape(n, 28, 28)
+
+
+@pytest.mark.parametrize("per_epoch", [False, True])
+def test_autoencoder_on_pixel_rows_matches_the_normalised_array(per_epoch):
+    # 45 rows at batch 16 leave a short last batch; per_epoch passes x as a function
+    images, val_images = _pixels(90, 45), _pixels(91, 7)
+    runs = []
+    for x, x_val in ((PixelRows(images), PixelRows(val_images)),
+                     (normalize_and_flatten(images), normalize_and_flatten(val_images))):
+        ae = make_autoencoder(Rng(92), hidden=24, latent=6)
+        rng = Rng(93)
+        history = train(ae.net, (lambda epoch, x=x: x) if per_epoch else x, None, epochs=2,
+                        batch_size=16, adam=Adam(alpha=0.005), rng=rng, x_val=x_val)
+        params = b"".join(arr.tobytes() for _, arr in ae.net.archive_entries())
+        runs.append((params, rng._state.tobytes(), history))
+    assert runs[0] == runs[1]
+
+
+def test_autoencoder_mode_gathers_each_batch_once():
+    gathers = {"train": 0, "val": 0}
+
+    class CountedRows(PixelRows):
+        def __init__(self, images, split):
+            super().__init__(images)
+            self.split = split
+
+        def __getitem__(self, idx):
+            gathers[self.split] += 1
+            return super().__getitem__(idx)
+
+    ae = make_autoencoder(Rng(94), hidden=8, latent=4)
+    train(ae.net, CountedRows(_pixels(95, 40), "train"), None, epochs=3, batch_size=16,
+          adam=Adam(), rng=Rng(96), x_val=CountedRows(_pixels(97, INFERENCE_BATCH + 1), "val"))
+    assert gathers == {"train": 3 * 3, "val": 3 * 2}
