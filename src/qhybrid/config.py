@@ -112,8 +112,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
     for key in ("rotate_max_deg", "shift_max_px"):
-        if not getattr(cfg, key) >= 0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{key} must be finite and >= 0, got {value}")
     if cfg.quantum_mode not in MODES:
         raise ConfigError(f"quantum_mode must be one of {MODES}, got {cfg.quantum_mode!r}")
     if cfg.quantum_layout not in LAYOUTS:

@@ -15,6 +15,7 @@ AUGMENT_CHUNK images that consume the stream as per-image draws would.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,8 +69,8 @@ class AugmentSpec:
     probability: float = 0.5
 
     def __post_init__(self):
-        if self.rotate_max_deg < 0:
-            raise ValueError(f"rotate_max_deg must be >= 0, got {self.rotate_max_deg}")
+        if not (math.isfinite(self.rotate_max_deg) and self.rotate_max_deg >= 0):
+            raise ValueError(f"rotate_max_deg must be finite and >= 0, got {self.rotate_max_deg}")
         if self.shift_max_px < 0:
             raise ValueError(f"shift_max_px must be >= 0, got {self.shift_max_px}")
         if not 0.0 <= self.probability <= 1.0:

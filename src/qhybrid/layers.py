@@ -124,12 +124,14 @@ class BatchNorm:
         if h.shape[1] != self.in_width:
             raise ValueError(f"batchnorm expects width {self.in_width}, got {h.shape}")
         if training:
-            if h.shape[0] < 2:
-                raise ValueError(f"batchnorm training needs batch >= 2, got {h.shape[0]}")
+            n = h.shape[0]
+            if n < 2:
+                raise ValueError(f"batchnorm training needs batch >= 2, got {n}")
             mean = h.mean(axis=0)
-            var = h.var(axis=0)  # population variance: divide by batch size
+            c = h - mean
+            var = (c * c).sum(axis=0) / n  # population variance, rounded as h.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (h - mean) * inv_std
+            xhat = c * inv_std
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
             self._xhat, self._inv_std = xhat, inv_std

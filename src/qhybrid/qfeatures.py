@@ -21,9 +21,9 @@ temporary spans the whole set. Sampled mode adds only the shot noise. Row i
 measures each block ``shots`` times from its own child stream
 ``rng.split(f"sample/{i}")``, so a row's features do not depend on which
 other rows are transformed with it. Per chunk there is one lane draw over
-all the chunk's streams, one vectorised inverse-CDF lookup, and one
-``bincount`` for the outcome histograms, whose bit counts give the
-marginals.
+all the chunk's streams, then ``sample_from_probs`` counts each block's
+outcomes from its sorted draws; the bit counts of those outcome histograms
+give the marginals.
 """
 
 from __future__ import annotations
@@ -169,10 +169,8 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
             continue
         children = [rng.split(f"sample/{i}") for i in range(start, stop)]
         probs = block_probabilities(thetas, "histogram")
-        indices = sample_from_probs(probs, shots, children).reshape(-1, shots)
-        offsets = np.arange(len(indices))[:, None] * 2**BLOCK_SIZE
-        hist = np.bincount((indices + offsets).ravel(), minlength=probs.size).reshape(probs.shape)
+        counts = sample_from_probs(probs, shots, children)
         if layout == "marginal":
-            hist = hist @ _OUTCOME_BITS  # per-qubit counts of 1
-        features[start:stop] = (hist / shots).reshape(stop - start, -1)
+            counts = counts @ _OUTCOME_BITS  # per-qubit counts of 1
+        features[start:stop] = (counts / shots).reshape(stop - start, -1)
     return features

@@ -139,43 +139,22 @@ def marginals(state: QuantumState) -> np.ndarray:
     ])
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """min(searchsorted(cdf[g], u_g, side="right"), outcomes - 1) for every group g.
-
-    cdf is (groups, outcomes), each row sorted, and u is (groups, draws); the
-    result is flat, group after group. For a sorted row that value is the
-    count of its first outcomes - 1 entries that are <= u. Padding those
-    entries with inf to a power-of-two width lets one branchless binary
-    search count them for all draws at once.
-    """
-    groups, outcomes = cdf.shape
-    width = 1 << (outcomes - 1).bit_length()
-    table = np.full((groups, width), np.inf)
-    table[:, : outcomes - 1] = cdf[:, : outcomes - 1]
-    table = table.ravel()
-    base = np.repeat(np.arange(groups) * width, u.shape[1])
-    u = u.ravel()
-    pos = base.copy()
-    step = width // 2
-    while step:
-        pos += (table[pos + (step - 1)] <= u) * step
-        step //= 2
-    pos -= base
-    return pos
-
-
 def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng | Sequence[Rng]) -> np.ndarray:
-    """shots i.i.d. indices into a probability vector, drawn by inverse CDF.
+    """Outcome counts of shots i.i.d. measurements of a probability vector.
 
     probs may also be a (blocks, outcomes) stack. Its blocks * shots uniforms
     come from one draw call in block order, so the stream is consumed exactly
-    as by one call per block, and the indices are returned flat, block after
-    block.
+    as by one call per block. rng may also be a sequence of R streams, one per
+    row of an (R, blocks, outcomes) stack. Row i then draws from rng[i] exactly
+    as a call with that row and that stream alone would; all rows are drawn in
+    one lane pass (``uniform_streams``).
 
-    rng may also be a sequence of R streams, one per row of an (R, blocks,
-    outcomes) stack. Row i then draws from rng[i] exactly as a call with that
-    row and that stream alone would; all rows are drawn in one lane pass
-    (``uniform_streams``) and the indices are returned flat, row after row.
+    The counts have the shape of probs and are those of the per-draw inverse
+    CDF in ``sample_indices``. A draw u lands at or past outcome k + 1 exactly
+    when cdf[k] <= u, and the cdf of non-negative probabilities never
+    decreases, so sorting a block's draws and counting those below each of
+    its first outcomes - 1 cdf values gives the same histogram without
+    locating any single draw. The last outcome takes every draw past them.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -188,9 +167,20 @@ def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng | Sequence[Rng]) -
             raise ValueError(f"need one stream per row of an (R, blocks, outcomes) stack, "
                              f"got {len(rng)} streams for shape {probs.shape}")
         u = uniform_streams(rng, probs.shape[1] * shots)
-    return _inverse_cdf(cdf, u.reshape(len(cdf), shots))
+    u = u.reshape(len(cdf), shots)
+    u.sort(axis=1)
+    edges = [np.searchsorted(row, c[:-1], side="left") for row, c in zip(u, cdf)]
+    return np.diff(edges, axis=1, prepend=0, append=shots).reshape(probs.shape)
 
 
 def sample_indices(state: QuantumState, shots: int, rng: Rng) -> np.ndarray:
-    """shots i.i.d. basis-state indices from the state's outcome distribution."""
-    return sample_from_probs(state.probabilities(), shots, rng)
+    """shots i.i.d. basis-state indices from the state's outcome distribution.
+
+    One index per draw, by inverse CDF: the first outcome whose cdf exceeds
+    the draw, clamped to the last outcome should the cdf end below it.
+    ``sample_from_probs`` counts the same draws without locating each one.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    cdf = np.cumsum(state.probabilities())
+    return np.minimum(np.searchsorted(cdf, rng.uniform(shots), side="right"), len(cdf) - 1)

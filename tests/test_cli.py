@@ -49,6 +49,9 @@ def test_bad_config_key_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("rotate_max_deg", -5),
+    ("rotate_max_deg", "inf"),
+    ("rotate_max_deg", "1e400"),
+    ("rotate_max_deg", "nan"),
     ("shift_max_px", -1),
     ("clf_widths", "16, 0"),
     ("ae_lr", -0.001),

@@ -71,8 +71,9 @@ def test_validation_ranges():
         validate_config(ExperimentConfig(lr_factor=0.0))
     with pytest.raises(ConfigError, match="quantum_layout"):
         validate_config(ExperimentConfig(quantum_layout="bloch"))
-    with pytest.raises(ConfigError, match="rotate_max_deg"):
-        validate_config(ExperimentConfig(rotate_max_deg=-1.0))
+    for rotate in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="rotate_max_deg"):
+            validate_config(ExperimentConfig(rotate_max_deg=rotate))
     with pytest.raises(ConfigError, match="shift_max_px"):
         validate_config(ExperimentConfig(shift_max_px=-2))
     with pytest.raises(ConfigError, match="clf_widths"):

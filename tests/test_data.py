@@ -258,8 +258,9 @@ def test_augment_split_stack_continues_one_stream(split):
 
 
 def test_augment_spec_validation():
-    with pytest.raises(ValueError):
-        AugmentSpec(rotate_max_deg=-1.0)
+    for rotate in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="rotate_max_deg"):
+            AugmentSpec(rotate_max_deg=rotate)
     with pytest.raises(ValueError):
         AugmentSpec(shift_max_px=-2)
     with pytest.raises(ValueError):

@@ -233,14 +233,20 @@ def test_stacked_sampling_matches_per_block_calls():
     probs = np.stack([simulate(random_circuit(gen, 5, 8)).probabilities() for _ in range(13)])
     stacked_rng, loop_rng = Rng(12), Rng(12)
     stacked = sample_from_probs(probs, 1024, stacked_rng)
-    per_block = np.concatenate([sample_from_probs(p, 1024, loop_rng) for p in probs])
-    assert np.array_equal(stacked, per_block)
+    expected = np.stack([_counts(p, loop_rng.uniform(1024)) for p in probs])
+    assert stacked.shape == probs.shape
+    assert np.array_equal(stacked, expected)
     assert np.array_equal(stacked_rng._state, loop_rng._state)
 
 
 def _clamped_searchsorted(probs, u):
     cdf = np.cumsum(probs)
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _counts(probs, u):
+    """The outcome histogram of per-draw inverse-CDF indices."""
+    return np.bincount(_clamped_searchsorted(probs, u), minlength=len(probs))
 
 
 @pytest.mark.parametrize("outcomes", [1, 2, 3, 5, 32, 33])
@@ -252,12 +258,48 @@ def test_stream_stack_matches_one_call_per_row(outcomes):
     probs[0, 0] *= 0.9  # a cdf that ends below some draws: the clamp
     streams = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
     alone = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
-    got = sample_from_probs(probs, 200, streams).reshape(len(probs), 3, 200)
+    got = sample_from_probs(probs, 200, streams)
+    assert got.shape == probs.shape
     for row, p, stream, single in zip(got, probs, streams, alone):
         u = single.uniform(3 * 200).reshape(3, 200)
-        expected = [_clamped_searchsorted(block, draws) for block, draws in zip(p, u)]
+        expected = [_counts(block, draws) for block, draws in zip(p, u)]
         assert np.array_equal(row, expected)
         assert np.array_equal(stream._state, single._state)
+
+
+class _GivenDraws(Rng):
+    """An Rng whose uniform() returns chosen draws, so a draw can sit on a cdf value."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = draws
+
+    def uniform(self, n):
+        assert n == self.draws.size
+        return self.draws.copy()
+
+
+def test_counts_equal_histogram_of_per_draw_indices():
+    gen = np.random.default_rng(21)
+    for case in range(200):
+        outcomes = [1, 2, 32, int(gen.integers(1, 40))][case % 4]
+        shots = [1, 2, int(gen.integers(1, 300))][case % 3]
+        blocks = int(gen.integers(1, 4))
+        # dyadic probabilities: every cdf value is exact and a possible draw k * 2^-53
+        weights = gen.integers(0, 4, size=(blocks, outcomes)).astype(float)
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        scale = 2.0 ** -np.ceil(np.log2(weights.sum(axis=1, keepdims=True)))
+        probs = weights * scale  # zero-probability outcomes, cdfs that end at or below 1
+        cdf = np.cumsum(probs, axis=1)
+        near = np.concatenate([cdf - 2.0**-53, cdf, cdf + 2.0**-53], axis=1)
+        pool = np.concatenate([near[(near >= 0.0) & (near < 1.0)], [0.0, 1.0 - 2.0**-53],
+                               gen.random(8)])
+        draws = gen.choice(pool, size=(blocks, shots))
+        assert np.all(draws == np.floor(draws * 2.0**53) * 2.0**-53)
+        got = sample_from_probs(probs, shots, _GivenDraws(draws.ravel()))
+        expected = np.stack([_counts(p, u) for p, u in zip(probs, draws)])
+        assert got.shape == probs.shape and got.dtype.kind == "i"
+        assert np.array_equal(got, expected), case
 
 
 def test_stream_stack_needs_one_stream_per_row():
