@@ -5,10 +5,11 @@ stages are independent of execution order and re-runs are byte-identical.
 ``STAGES`` is the one table of the stage graph. A stage's key hashes the
 config fields it reads, the sha256 of the data files among them (not their
 paths) and the keys its deps had when it ran; ``stages.json`` in the output
-directory records it. A stage re-runs when an output is missing, its key changed, --force is given,
-or an upstream stage ran. ``run_pipeline`` runs a target stage together with
-every stage it depends on, so no stage is served from outputs built from
-another config.
+directory records it together with the stage's results, which the summary
+and --check read. A stage re-runs when an output is missing, its key
+changed, --force is given, or an upstream stage ran. ``run_pipeline`` runs a
+target stage together with every stage it depends on, so no stage is served
+from outputs built from another config.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import json
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -32,7 +33,6 @@ from .optim import Adam
 from .qfeatures import LAYOUTS, MODES, ScalingStats, transform_features
 from .reports import (
     evaluate_classifier,
-    read_csv,
     write_confusion_csv,
     write_csv,
     write_metrics_csv,
@@ -112,7 +112,7 @@ def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
     )
 
 
-def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> None:
+def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> dict:
     rng = Rng(cfg.seed).split("train-ae")
     x_val = PixelRows(splits.val_images)
     ae = make_autoencoder(rng.split("init"))
@@ -140,9 +140,12 @@ def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> 
     for i in range(len(originals)):
         write_pgm(paths.recon_dir / f"recon_{i:02d}_orig.pgm", originals[i].reshape(28, 28))
         write_pgm(paths.recon_dir / f"recon_{i:02d}_ae.pgm", recon[i].reshape(28, 28))
+    if not history:
+        return {}
+    return {"train_mse": history[-1].train_loss, "val_mse": history[-1].val_loss}
 
 
-def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> None:
+def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> dict:
     ae = Autoencoder.load(paths.ae_model)
     train_images = splits.train_images
     train_labels = splits.train_labels
@@ -164,6 +167,8 @@ def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> No
         ("labels/test", splits.test_labels.astype(np.float64)),
     ]
     save_archive(entries, paths.latents)
+    return {"train": len(train_labels), "val": len(splits.val_labels),
+            "test": len(splits.test_labels)}
 
 
 def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
@@ -206,7 +211,7 @@ def _features_for(which: str, paths: StagePaths):
     return sets
 
 
-def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> None:
+def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dict:
     sets = _features_for(which, paths)
     x_train, y_train = sets["train"]
     x_val, y_val = sets["val"]
@@ -229,40 +234,28 @@ def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> Non
         ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
         [[r.epoch, r.train_loss, r.train_acc, r.val_loss, r.val_acc] for r in history],
     )
+    return asdict(history[-1]) if history else {}
 
 
-def stage_eval(cfg: ExperimentConfig, paths: StagePaths, which: str) -> None:
+def stage_eval(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dict:
     sets = _features_for(which, paths)
     x_test, y_test = sets["test"]
     net = Network.load(paths.clf_model[which])
     report = evaluate_classifier(net, x_test, y_test)
     write_confusion_csv(paths.eval_confusion_csv[which], report.confusion)
     write_metrics_csv(paths.eval_metrics_csv[which], report)
+    return {"accuracy": report.accuracy, "loss": report.loss}
 
 
-def _final_history_row(path) -> dict[str, float]:
-    header, rows = read_csv(path)
-    if not rows:
-        return {}
-    return {name: float(cell) for name, cell in zip(header, rows[-1]) if cell != "None"}
-
-
-def _metric_map(path) -> dict[str, float]:
-    _, rows = read_csv(path)
-    return {name: float(value) for name, value in rows}
-
-
-def stage_summary(cfg: ExperimentConfig, paths: StagePaths) -> str:
-    entries = dict(load_archive(paths.latents))
-    ae_final = _final_history_row(paths.ae_loss_csv)
+def stage_summary(cfg: ExperimentConfig, paths: StagePaths, records: dict) -> None:
+    """Write summary.txt from the results in the stage records."""
+    ae_final = records["train-ae"]["results"]
+    counts = records["encode"]["results"]
     lines = [
         "hybrid quantum-classical experiment summary",
         "===========================================",
         f"seed: {cfg.seed}",
-        "samples: train={} val={} test={}".format(
-            len(entries["latents/train"]), len(entries["latents/val"]),
-            len(entries["latents/test"]),
-        ),
+        f"samples: train={counts['train']} val={counts['val']} test={counts['test']}",
         f"quantum mode: {cfg.quantum_mode} (shots={cfg.shots}, layout={cfg.quantum_layout})",
         "",
     ]
@@ -279,8 +272,8 @@ def stage_summary(cfg: ExperimentConfig, paths: StagePaths) -> str:
         "classifier            train_acc  val_acc  test_acc  test_loss",
     ]
     for which, label in (("latent", "latent (baseline)"), ("quantum", "quantum features")):
-        hist = _final_history_row(paths.clf_history_csv[which])
-        metrics = _metric_map(paths.eval_metrics_csv[which])
+        hist = records[f"clf-{which}"]["results"]
+        metrics = records[f"eval-{which}"]["results"]
         lines.append(
             "{:<20}  {:>9} {:>8} {:>9} {:>10}".format(
                 label,
@@ -290,9 +283,7 @@ def stage_summary(cfg: ExperimentConfig, paths: StagePaths) -> str:
                 "{:.4f}".format(metrics["loss"]),
             )
         )
-    text = "\n".join(lines) + "\n"
-    write_atomic(paths.summary, text.encode("utf-8"))
-    return text
+    write_atomic(paths.summary, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -302,7 +293,7 @@ class Stage:
     name: str
     deps: tuple[str, ...]
     outputs: Callable[[StagePaths], tuple[Path, ...]]
-    run: Callable  # (fields, paths, split loader); fields holds only ``reads``
+    run: Callable  # (fields, paths, PipelineRun) -> results; fields holds only ``reads``
     reads: tuple[str, ...]  # the config fields the stage reads
 
 
@@ -315,11 +306,11 @@ _CLF_FIELDS = ("seed", "clf_widths", "clf_dropout", "clf_epochs", "clf_batch", "
 
 STAGES = {stage.name: stage for stage in (
     Stage("train-ae", (), lambda p: (p.ae_model, p.ae_loss_csv, p.recon_dir),
-          lambda cfg, p, splits: stage_train_ae(cfg, p, splits(cfg)),
+          lambda cfg, p, run: stage_train_ae(cfg, p, run.splits()),
           (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "ae_epochs", "ae_batch", "ae_lr", "lr_step",
            "lr_factor")),
     Stage("encode", ("train-ae",), lambda p: (p.latents,),
-          lambda cfg, p, splits: stage_encode(cfg, p, splits(cfg)),
+          lambda cfg, p, run: stage_encode(cfg, p, run.splits()),
           (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "augment_copies")),
     Stage("qtransform", ("encode",), lambda p: (p.qfeatures,),
           lambda cfg, p, _: stage_qtransform(cfg, p), _QUANTUM_FIELDS),
@@ -336,7 +327,8 @@ STAGES = {stage.name: stage for stage in (
           lambda p: (p.eval_confusion_csv["quantum"], p.eval_metrics_csv["quantum"]),
           lambda cfg, p, _: stage_eval(cfg, p, "quantum"), ()),
     Stage("summary", ("eval-latent", "eval-quantum"), lambda p: (p.summary,),
-          lambda cfg, p, _: stage_summary(cfg, p), (*_QUANTUM_FIELDS, "ae_epochs")),
+          lambda cfg, p, run: stage_summary(cfg, p, run.records),
+          (*_QUANTUM_FIELDS, "ae_epochs")),
 )}
 
 
@@ -382,14 +374,14 @@ class PipelineRun:
         fields = {field: getattr(self.cfg, field) for field in stage.reads}
         start, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         try:
-            stage.run(SimpleNamespace(**fields), self.paths, self._load_splits)
+            results = stage.run(SimpleNamespace(**fields), self.paths, self)
         except Exception as exc:
             raise StageError(f"{name}: {exc}") from exc
         usage = resource.getrusage(resource.RUSAGE_SELF)
         self.log(f"[{name}] done: {time.perf_counter() - start:.3f} s, "
                  f"maxrss {usage.ru_maxrss / 1024:.1f} MB, "
                  f"{usage.ru_minflt - faults} minor faults")
-        self.records[name] = record
+        self.records[name] = {**record, "results": results}
         self._save_records()
         self.ran.add(name)
 
@@ -416,7 +408,7 @@ class PipelineRun:
         old = self.records.get(stage.name)
         if self.force:
             return "--force"
-        if old is None:
+        if old is None or "results" not in old:
             return "no record"
         if not all(path.exists() for path in stage.outputs(self.paths)):
             return "output missing"
@@ -429,9 +421,10 @@ class PipelineRun:
             return "upstream ran"
         return None
 
-    def _load_splits(self, fields) -> Splits:
+    def splits(self) -> Splits:
+        """The config's splits, loaded once per run."""
         if self._splits is None:
-            self._splits = load_splits(fields)
+            self._splits = load_splits(self.cfg)
         return self._splits
 
     def _save_records(self) -> None:
@@ -463,13 +456,14 @@ def run_pipeline(cfg: ExperimentConfig, target: str = "summary", *, force: bool 
 
 
 def check_thresholds(cfg: ExperimentConfig, paths: StagePaths, target: str) -> list[str]:
-    """Compare recorded metrics against the --check floors of the stages in
-    the target's closure; no history outside it is read."""
+    """Compare the results recorded in stages.json against the --check floors
+    of the stages in the target's closure; no other stage's record is read."""
     closure = stage_closure(target)
+    records = json.loads(paths.manifest.read_text(encoding="utf-8"))
     failures = []
     if "train-ae" in closure:
-        ae_final = _final_history_row(paths.ae_loss_csv)
-        if not ae_final or not np.isfinite(ae_final.get("val_mse", np.nan)):
+        ae_final = records["train-ae"]["results"]
+        if not ae_final or not np.isfinite(ae_final["val_mse"]):
             failures.append("autoencoder history records no validation MSE")
         elif ae_final["val_mse"] > cfg.check_ae_val_mse:
             failures.append(
@@ -479,7 +473,7 @@ def check_thresholds(cfg: ExperimentConfig, paths: StagePaths, target: str) -> l
                          ("quantum", cfg.check_quantum_val_acc)):
         if f"clf-{which}" not in closure:
             continue
-        hist = _final_history_row(paths.clf_history_csv[which])
+        hist = records[f"clf-{which}"]["results"]
         if not hist:
             failures.append(f"{which} classifier history is empty")
         elif hist["val_acc"] < floor:

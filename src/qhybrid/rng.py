@@ -1,7 +1,9 @@
 """Deterministic pseudo-randomness: xoshiro256++ seeded via splitmix64.
 
-The generator is pinned to this exact algorithm so that runs reproduce
-bit-for-bit across machines and across implementations. A raw 64-bit output
+The generator is pinned to this exact algorithm, so a seed gives the same
+stream on every machine and through both implementations below. Trained
+artifacts also pass through BLAS matrix products, so they repeat byte for
+byte for a given OpenBLAS kernel and BLAS thread count. A raw 64-bit output
 word w gives the float ``(w >> 11) * 2**-53``, uniform in [0, 1).
 
 Raw words come from one of two paths, chosen by the size of the call; both

@@ -10,7 +10,7 @@ import pytest
 from helpers import DONE, write_synthetic_idx
 
 from qhybrid.archive import load_archive
-from qhybrid.cli import EXIT_OK, main
+from qhybrid.cli import EXIT_CHECK, EXIT_OK, main
 from qhybrid.config import ExperimentConfig, load_config
 from qhybrid.losses import mse_loss
 from qhybrid.network import Autoencoder
@@ -431,3 +431,41 @@ def test_every_dep_names_an_earlier_stage():
     for name, stage in STAGES.items():
         assert set(stage.deps) <= earlier, name
         earlier.add(name)
+
+
+def test_summary_and_check_read_stage_records_not_files(make_config, tmp_path, capsys):
+    cfg = make_config(out_dir=tmp_path / "warm", ae_epochs=1, clf_epochs=1)
+    paths = StagePaths(tmp_path / "warm")
+    assert main(["--config", str(cfg), "--check", "pipeline"]) == EXIT_CHECK
+    first = capsys.readouterr()
+    summary = paths.summary.read_bytes()
+    for path in (paths.ae_loss_csv, *paths.clf_history_csv.values(),
+                 *paths.eval_metrics_csv.values(), paths.latents):
+        path.write_bytes(b"junk\n")
+    paths.summary.unlink()
+    assert main(["--config", str(cfg), "--check", "pipeline"]) == EXIT_CHECK
+    second = capsys.readouterr()
+    status = _stage_status(second.out.splitlines())
+    assert status.pop("summary") == "running: output missing"
+    assert set(status.values()) == {"cached"}
+    assert paths.summary.read_bytes() == summary
+    assert second.err == first.err and "check failed" in second.err
+
+
+def test_records_without_results_rerun_once(make_config, tmp_path):
+    out_dir = tmp_path / "warm"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    before = _tree(out_dir)
+    paths = StagePaths(out_dir)
+    records = json.loads(paths.manifest.read_text())
+    for record in records.values():
+        del record["results"]
+    paths.manifest.write_text(json.dumps(records))
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"running: no record"}
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"cached"}
+    assert _tree(out_dir) == before
