@@ -8,8 +8,10 @@ Pixels stay uint8 until a batch needs them: ``PixelRows`` normalises only the
 rows it is indexed with, so no float64 copy of a whole split is ever held.
 
 Augmentation transforms whole (N, 28, 28) stacks. Each enabled transform
-draws a fixed count of uniforms per image, and a stack is drawn in chunks of
-AUGMENT_CHUNK images that consume the stream as per-image draws would.
+draws a fixed count of uniforms per image, and one draw per stack consumes the
+stream as one draw per image would. The transforms then run AUGMENT_CHUNK
+images at a time, gathering each output pixel through one flat index into a
+copy of the chunk with a PAD-pixel zero border.
 """
 
 from __future__ import annotations
@@ -28,8 +30,14 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 IMAGE_SIDE = 28
 N_CLASSES = 10
-# Images per rng.uniform call in augment; it bounds the int64 index temporaries
-AUGMENT_CHUNK = 1024
+# Images per transform pass in augment; it bounds the coordinate temporaries
+# to about 1.6 MB each
+AUGMENT_CHUNK = 256
+# Zero border around a chunk: a rotated source lies within 13.5 * sqrt(2) < 19.1
+# px of the centre, so rint keeps it in [-PAD, 27 + PAD]
+PAD = 6
+_BORDERED = IMAGE_SIDE + 2 * PAD
+_ORIGIN = PAD * _BORDERED + PAD  # flat index of pixel (0, 0) in a bordered image
 
 
 class IdxFormatError(ValueError):
@@ -153,31 +161,48 @@ class PixelRows:
         return normalize_and_flatten(self.images[idx])
 
 
-def _gather(images: np.ndarray, src_r: np.ndarray, src_c: np.ndarray) -> np.ndarray:
-    """out[i, r, c] = images[i, src_r, src_c], read from a zero border where
-    the source falls off the grid; the index arrays broadcast to (N, 28, 28)."""
-    padded = np.pad(images, ((0, 0), (1, 1), (1, 1)))
-    stack = np.arange(len(images))[:, None, None]
-    return padded[stack, np.clip(src_r, -1, IMAGE_SIDE) + 1, np.clip(src_c, -1, IMAGE_SIDE) + 1]
+def _gather(images: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """out[i, r, c] = bordered[i].flat[flat[i, r, c]], where bordered frames
+    the stack in a PAD-pixel zero border: source (sr, sc), each in
+    [-PAD, 27 + PAD], has flat index sr * _BORDERED + sc + _ORIGIN. flat is
+    overwritten."""
+    bordered = np.zeros((len(images), _BORDERED, _BORDERED), images.dtype)
+    bordered[:, PAD:-PAD, PAD:-PAD] = images
+    flat += (np.arange(len(images)) * _BORDERED**2)[:, None, None]
+    return bordered.take(flat)
 
 
-def _rotate(images: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
-    """Rotate image i by angles_deg[i] about the grid center, nearest neighbor."""
+def _rotation_sources(angles_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rounded source row and column of every output pixel under each
+    rotation about the grid center, as two float (N, 28, 28) arrays."""
     center = (IMAGE_SIDE - 1) / 2.0
     theta = np.deg2rad(angles_deg)[:, None, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     # Sample the source at the inverse rotation of each output coordinate.
     y = np.arange(IMAGE_SIDE)[:, None] - center
     x = np.arange(IMAGE_SIDE) - center
-    src_r = np.rint(cos_t * y - sin_t * x + center).astype(np.int64)
-    src_c = np.rint(sin_t * y + cos_t * x + center).astype(np.int64)
-    return _gather(images, src_r, src_c)
+    src_r = np.subtract(cos_t * y, sin_t * x)
+    src_r += center
+    src_c = np.add(sin_t * y, cos_t * x)
+    src_c += center
+    return np.rint(src_r, out=src_r), np.rint(src_c, out=src_c)
+
+
+def _rotate(images: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
+    """Rotate image i by angles_deg[i] about the grid center, nearest neighbor."""
+    src_r, src_c = _rotation_sources(angles_deg)
+    src_r *= _BORDERED  # small integers, so the float index arithmetic is exact
+    src_r += src_c
+    src_r += _ORIGIN
+    return _gather(images, src_r.astype(np.intp))
 
 
 def _shift(images: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Move image i by dx[i] columns and dy[i] rows; vacated pixels become 0."""
     grid = np.arange(IMAGE_SIDE)
-    return _gather(images, grid[:, None] - dy[:, None, None], grid - dx[:, None, None])
+    rows = np.clip(grid - dy[:, None], -PAD, IMAGE_SIDE - 1 + PAD) * _BORDERED
+    cols = np.clip(grid - dx[:, None], -PAD, IMAGE_SIDE - 1 + PAD) + _ORIGIN
+    return _gather(images, rows[:, :, None] + cols[:, None, :])
 
 
 def augment(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
@@ -186,19 +211,22 @@ def augment(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
 
     Per image, in stack order, each enabled transform draws a fixed count
     whatever its gate: rotate 2 (gate, angle), shift 3 (gate, dx, dy), flip 1
-    (gate). One rng.uniform call serves each chunk of AUGMENT_CHUNK images,
-    which consumes the stream exactly as one call per image would.
+    (gate). One rng.uniform call serves the whole stack, which consumes the
+    stream exactly as one call per image would; the transforms then run
+    AUGMENT_CHUNK images at a time.
     """
     enabled = np.repeat([spec.rotate_max_deg > 0, spec.shift_max_px > 0, spec.hflip_enabled],
                         [2, 3, 1])
     span = 2 * spec.shift_max_px + 1
+    # columns: rotate gate, angle, shift gate, dx, dy, flip gate; a disabled
+    # transform draws none of its columns and its gate reads 1.0, which never fires
+    draws = int(enabled.sum())
+    params = np.ones((len(images), 6))
+    params[:, enabled] = rng.uniform(len(images) * draws).reshape(len(images), draws)
     out = images.copy()
     for start in range(0, len(out), AUGMENT_CHUNK):
         chunk = out[start : start + AUGMENT_CHUNK]  # a view, so writes land in out
-        # columns: rotate gate, angle, shift gate, dx, dy, flip gate; a disabled
-        # transform draws none of its columns and its gate reads 1.0, which never fires
-        u = np.ones((len(chunk), 6))
-        u[:, enabled] = rng.uniform(len(chunk) * enabled.sum()).reshape(len(chunk), -1)
+        u = params[start : start + AUGMENT_CHUNK]
         rotate, shift, flip = (u[:, [0, 2, 5]] < spec.probability).T
         chunk[rotate] = _rotate(chunk[rotate], (2.0 * u[rotate, 1] - 1.0) * spec.rotate_max_deg)
         dx, dy = np.minimum((u[shift, 3:5] * span).astype(np.int64), span - 1).T

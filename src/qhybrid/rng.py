@@ -238,12 +238,14 @@ class Rng:
         perm = np.arange(n, dtype=np.int64)
         if n < 2:
             return perm
-        u = self.uniform(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(u[n - 1 - i] * (i + 1))
-            if j > i:
-                j = i
-            perm[i], perm[j] = perm[j], perm[i]
+        # draw k swaps i = n - 1 - k with j = min(int(u[k] * (i + 1)), i): every j
+        # in one vector op, then the swaps on Python ints through memoryviews
+        top = np.arange(n - 1, 0, -1)
+        js = (self.uniform(n - 1) * (top + 1)).astype(np.int64)
+        np.minimum(js, top, out=js)
+        p = memoryview(perm)
+        for i, j in zip(range(n - 1, 0, -1), memoryview(js)):
+            p[i], p[j] = p[j], p[i]
         return perm
 
     def split(self, label: str) -> "Rng":

@@ -5,8 +5,10 @@ import struct
 import numpy as np
 import pytest
 
+from qhybrid import data
 from qhybrid.data import (
     AUGMENT_CHUNK,
+    PAD,
     AugmentSpec,
     IdxFormatError,
     IdxTruncatedError,
@@ -241,6 +243,69 @@ def test_augment_reproduces_per_image_bytes(spec, draws_per_image, digest):
     expected = Rng(11)
     expected.uniform(64 * draws_per_image)
     assert np.array_equal(rng._state, expected._state)
+
+
+# the border cases: half and full turns, angles far past a turn, shifts wider
+# than the grid, gates that never and always fire, and a 515-image stack that
+# crosses two 256-image chunk boundaries; sha256 digests recorded from the
+# implementation that clipped a three-array fancy index into a 1-pixel border
+BORDER_CASES = [
+    (AugmentSpec(rotate_max_deg=180.0, shift_max_px=0, hflip_enabled=False, probability=1.0),
+     64, 2, "40b3857a9096db2f8ec686afeb70b24f6797b587161f3463a430c4daf069107d"),
+    (AugmentSpec(rotate_max_deg=1e6, shift_max_px=2, hflip_enabled=True, probability=0.5),
+     64, 6, "71ef9b3254424c56707572f1b54165bc7c50dbb66fc87dcbe89b5741235bdb4a"),
+    (AugmentSpec(rotate_max_deg=0.0, shift_max_px=40, hflip_enabled=False, probability=0.7),
+     64, 3, "a120fa218c908e14782729c2ea30dbad3da51ddb1fe89b8118a73b49ee8258da"),
+    (AugmentSpec(rotate_max_deg=15.0, shift_max_px=2, hflip_enabled=True, probability=0.0),
+     64, 6, "c19197edfe28441f6d0a364e3ad3087ce529288d777a777c5a5901cc64cb3972"),
+    (AugmentSpec(rotate_max_deg=30.0, shift_max_px=3, hflip_enabled=True, probability=1.0),
+     64, 6, "5724dec8d81c5f7ef587dccd5eefa605013da249549da6193c5944acfd8aca89"),
+    (AugmentSpec(rotate_max_deg=15.0, shift_max_px=2, hflip_enabled=True, probability=0.5),
+     515, 6, "15f8607cf50f98040dab901cb8bf9e11e2ebd5c5e0a9f3845b5546e700ba81f9"),
+]
+BORDER_IDS = ["rotate180", "rotate1e6", "shift40", "probability0", "probability1", "stack515"]
+
+
+def _border_stack(n):
+    return np.resize(synthetic_digits(64, 3)[0], (n, 28, 28))
+
+
+@pytest.mark.parametrize("chunk", [AUGMENT_CHUNK, 1, 7, 1024])
+@pytest.mark.parametrize("spec, n, draws_per_image, digest", BORDER_CASES, ids=BORDER_IDS)
+def test_augment_border_cases_reproduce_pinned_bytes_at_any_chunk(monkeypatch, chunk, spec, n,
+                                                                  draws_per_image, digest):
+    monkeypatch.setattr(data, "AUGMENT_CHUNK", chunk)
+    images = _border_stack(n)
+    rng = Rng(11)
+    out = augment(images, spec, rng)
+    assert out.dtype == np.uint8 and out.shape == images.shape
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    if spec.probability == 0.0:
+        assert np.array_equal(out, images)
+    expected = Rng(11)
+    expected.uniform(n * draws_per_image)
+    assert np.array_equal(rng._state, expected._state)
+
+
+def test_augment_empty_stack_draws_nothing():
+    rng = Rng(3)
+    out = augment(np.zeros((0, 28, 28), dtype=np.uint8), AugmentSpec(hflip_enabled=True), rng)
+    assert out.shape == (0, 28, 28) and out.dtype == np.uint8
+    assert np.array_equal(rng._state, Rng(3)._state)
+
+
+def test_rotated_sources_stay_inside_the_zero_border():
+    # a source lies within 13.5 * sqrt(2) < 19.1 px of the centre, so rint
+    # keeps it in [-PAD, 27 + PAD] at any angle; 0.01 degree steps, in slices
+    # that keep each coordinate array small
+    angles = np.linspace(-180.0, 180.0, 36001)
+    lo = hi = 13.5
+    for start in range(0, len(angles), 2000):
+        for src in data._rotation_sources(angles[start : start + 2000]):
+            assert np.array_equal(src, np.rint(src))
+            lo, hi = min(lo, src.min()), max(hi, src.max())
+    assert -PAD <= lo and hi <= 27 + PAD
+    assert (lo, hi) == (-6.0, 33.0)  # the sweep reaches both edges of the border
 
 
 @pytest.mark.parametrize("split", [37, AUGMENT_CHUNK + 5])

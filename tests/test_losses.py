@@ -34,6 +34,18 @@ def test_mse_gradient_matches_finite_differences():
     assert rel_err(grad, fd) < 1e-6
 
 
+def test_mse_gradient_has_the_bits_of_the_textbook_expression():
+    rng = Rng(22)
+    x = rng.uniform(6 * 784).reshape(6, 784)
+    xhat = rng.uniform(6 * 784).reshape(6, 784)
+    before = xhat.copy(), x.copy()
+    loss, grad = mse_loss(x, xhat)
+    diff = xhat - x
+    assert loss == float(np.sum(diff * diff) / diff.size)
+    assert grad.tobytes() == (2.0 * diff / diff.size).tobytes()
+    assert np.array_equal(xhat, before[0]) and np.array_equal(x, before[1])
+
+
 def test_cross_entropy_perfect_prediction():
     y = np.zeros((1, 10))
     y[0, 3] = 1.0

@@ -161,3 +161,27 @@ def test_permutation_covers_range():
 def test_permutation_deterministic():
     assert np.array_equal(Rng(42).permutation(50), Rng(42).permutation(50))
     assert not np.array_equal(Rng(42).permutation(50), Rng(43).permutation(50))
+
+
+def _loop_permutation(rng, n):
+    # Fisher-Yates one draw at a time, as Rng.permutation was first written
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    u = rng.uniform(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(u[n - 1 - i] * (i + 1))
+        if j > i:
+            j = i
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 511, 512, 513, 5400])
+def test_permutation_matches_the_per_element_loop(n):
+    for seed in (0, 9):
+        rng, reference = Rng(seed), Rng(seed)
+        perm = rng.permutation(n)
+        assert perm.dtype == np.int64
+        assert perm.tobytes() == _loop_permutation(reference, n).tobytes()
+        assert np.array_equal(rng._state, reference._state)
