@@ -19,11 +19,29 @@ from .rng import Rng
 ACTIVATIONS = ("linear", "relu", "sigmoid", "softmax")
 
 
+def activate(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The named activation of z, written to ``out``: a fresh array when it
+    is None, or z itself for an in-place pass. Either way the same ufuncs run
+    in the same order, so the bits do not depend on ``out``; "linear" returns
+    z."""
+    if kind == "relu":
+        return np.maximum(0.0, z, out=out)
+    if kind == "sigmoid":  # 1 / (1 + exp(-z))
+        a = np.negative(z, out=out)
+        np.exp(a, out=a)
+        a += 1.0
+        return np.divide(1.0, a, out=a)
+    if kind == "softmax":  # max subtraction, so large logits cannot overflow
+        a = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+        np.exp(a, out=a)
+        a /= a.sum(axis=1, keepdims=True)
+        return a
+    return z
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction so large logits cannot overflow."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return activate("softmax", z)
 
 
 def _init_weights(in_width: int, out_width: int, activation: str, rng: Rng) -> np.ndarray:
@@ -58,17 +76,14 @@ class Dense:
         self._a = None
 
     def forward(self, x: np.ndarray, *, training: bool = False, rng: Rng | None = None):
+        """activation(x @ W.T + b). Training caches x, the pre-activation z
+        and the output for backward; inference adds the bias and applies the
+        activation in the product's own buffer, so it allocates one array."""
         if x.shape[1] != self.in_width:
             raise ValueError(f"dense layer expects width {self.in_width}, got {x.shape}")
-        z = x @ self.W.T + self.b
-        if self.activation == "relu":
-            a = np.maximum(0.0, z)
-        elif self.activation == "sigmoid":
-            a = 1.0 / (1.0 + np.exp(-z))
-        elif self.activation == "softmax":
-            a = softmax(z)
-        else:
-            a = z
+        z = x @ self.W.T
+        z += self.b
+        a = activate(self.activation, z, out=None if training else z)
         if training:
             self._x, self._z, self._a = x, z, a
         return a

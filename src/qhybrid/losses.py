@@ -1,4 +1,6 @@
-"""Loss functions returning (scalar loss, gradient) pairs."""
+"""Loss functions returning (scalar loss, gradient) pairs, and their
+loss-only forms for inference, which overwrite the output they are given
+instead of building a gradient."""
 
 from __future__ import annotations
 
@@ -7,10 +9,14 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
+def _check_shapes(kind: str, target: np.ndarray, out: np.ndarray) -> None:
+    if target.shape != out.shape:
+        raise ValueError(f"{kind} shape mismatch: {target.shape} vs {out.shape}")
+
+
 def mse_loss(x: np.ndarray, xhat: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over all elements; gradient is wrt xhat."""
-    if x.shape != xhat.shape:
-        raise ValueError(f"mse shape mismatch: {x.shape} vs {xhat.shape}")
+    _check_shapes("mse", x, xhat)
     diff = xhat - x
     n = diff.size
     loss = float(np.sum(diff * diff) / n)
@@ -26,9 +32,27 @@ def cross_entropy_loss(y_onehot: np.ndarray, probs: np.ndarray) -> tuple[float, 
     pre-softmax logits, (probs - y) / batch, which is the softmax and
     cross-entropy chain collapsed into one step.
     """
-    if y_onehot.shape != probs.shape:
-        raise ValueError(f"cross-entropy shape mismatch: {y_onehot.shape} vs {probs.shape}")
+    _check_shapes("cross-entropy", y_onehot, probs)
     batch = y_onehot.shape[0]
     clipped = np.clip(probs, PROB_FLOOR, 1.0)
     loss = float(-np.sum(y_onehot * np.log(clipped)) / batch)
     return loss, (probs - y_onehot) / batch
+
+
+def mse_in_place(x: np.ndarray, xhat: np.ndarray) -> float:
+    """``mse_loss(x, xhat)[0]``, computed in xhat's buffer, which it
+    overwrites: the same subtract, square and sum, so the same bits."""
+    _check_shapes("mse", x, xhat)
+    xhat -= x
+    np.multiply(xhat, xhat, out=xhat)
+    return float(np.sum(xhat) / xhat.size)
+
+
+def cross_entropy_in_place(y_onehot: np.ndarray, probs: np.ndarray) -> float:
+    """``cross_entropy_loss(y_onehot, probs)[0]``, computed in probs' buffer,
+    which it overwrites: the same clip, log, product and sum."""
+    _check_shapes("cross-entropy", y_onehot, probs)
+    np.clip(probs, PROB_FLOOR, 1.0, out=probs)
+    np.log(probs, out=probs)
+    probs *= y_onehot
+    return float(-np.sum(probs) / len(probs))

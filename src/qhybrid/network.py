@@ -64,19 +64,27 @@ class Network:
 
     def batches(self, x, stop: int | None = None):
         """Yield (start, input rows, inference-mode output of layers[:stop])
-        per INFERENCE_BATCH rows; x is an array or a ``data.PixelRows`` view."""
+        per INFERENCE_BATCH rows; x is an array or a ``data.PixelRows`` view.
+
+        The output is a fresh array the consumer may overwrite, unless no
+        layer before ``stop`` computes one (Dropout alone passes its input
+        through), when it is the input rows themselves. The generator drops
+        its references to a batch before it builds the next, so a consumer
+        that drops its own (``del rows, out``) holds one batch at a time."""
         for start in range(0, len(x), INFERENCE_BATCH):
             out = rows = x[start : start + INFERENCE_BATCH]
             for layer in self.layers[:stop]:
                 out = layer.forward(out, training=False)
             yield start, rows, out
+            del rows, out
 
     def predict(self, x, stop: int | None = None) -> np.ndarray:
         """The output of ``layers[:stop]`` for every row of x, in inference mode."""
         widths = [layer.out_width for layer in self.layers[:stop] if layer.out_width]
         out = np.empty((len(x), widths[-1] if widths else x.shape[1]))
-        for start, _, batch in self.batches(x, stop):
+        for start, rows, batch in self.batches(x, stop):
             out[start : start + len(batch)] = batch
+            del rows, batch
         return out
 
     def backward(self, loss_grad: np.ndarray) -> None:

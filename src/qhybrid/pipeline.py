@@ -145,30 +145,44 @@ def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> 
     return {"train_mse": history[-1].train_loss, "val_mse": history[-1].val_loss}
 
 
+def _with_augmented_copies(cfg: ExperimentConfig, images: np.ndarray) -> np.ndarray:
+    """images followed by ``augment_copies`` augmented copies of them. Each
+    copy is written into its slot of the stack as soon as it exists, so no
+    list of copies is held next to the stack."""
+    spec = _augment_spec(cfg)
+    rng = Rng(cfg.seed).split("encode-augment")
+    n = len(images)
+    stack = np.empty((n * (1 + cfg.augment_copies), *images.shape[1:]), images.dtype)
+    stack[:n] = images
+    for c in range(cfg.augment_copies):
+        stack[n * (c + 1) : n * (c + 2)] = augment(images, spec, rng.split(f"copy/{c}"))
+    return stack
+
+
 def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> dict:
+    """Latents of every split. This stage reads the splits last, so the run
+    hands them over; the train pixels, and the augmented stack built from
+    them, are freed as soon as their latents exist."""
     ae = Autoencoder.load(paths.ae_model)
-    train_images = splits.train_images
-    train_labels = splits.train_labels
+    train_images, train_labels = splits.train_images, splits.train_labels
     if cfg.augment and cfg.augment_stage in ("clf", "both") and cfg.augment_copies > 0:
         # expand the classifier's training set with augmented copies; the
         # originals keep their leading positions
-        spec = _augment_spec(cfg)
-        rng = Rng(cfg.seed).split("encode-augment")
-        copies = [augment(train_images, spec, rng.split(f"copy/{c}"))
-                  for c in range(cfg.augment_copies)]
-        train_images = np.concatenate([train_images, *copies], axis=0)
-        train_labels = np.tile(splits.train_labels, 1 + cfg.augment_copies)
-    entries = [
-        ("latents/train", ae.encode(PixelRows(train_images))),
-        ("labels/train", train_labels.astype(np.float64)),
-        ("latents/val", ae.encode(PixelRows(splits.val_images))),
-        ("labels/val", splits.val_labels.astype(np.float64)),
-        ("latents/test", ae.encode(PixelRows(splits.test_images))),
-        ("labels/test", splits.test_labels.astype(np.float64)),
-    ]
+        train_images = _with_augmented_copies(cfg, train_images)
+        train_labels = np.tile(train_labels, 1 + cfg.augment_copies)
+    rest = {"val": (splits.val_images, splits.val_labels),
+            "test": (splits.test_images, splits.test_labels)}
+    del splits
+    entries = [("latents/train", ae.encode(PixelRows(train_images))),
+               ("labels/train", train_labels.astype(np.float64))]
+    counts = {"train": len(train_labels)}
+    del train_images, train_labels
+    for split, (images, labels) in rest.items():
+        entries += [(f"latents/{split}", ae.encode(PixelRows(images))),
+                    (f"labels/{split}", labels.astype(np.float64))]
+        counts[split] = len(labels)
     save_archive(entries, paths.latents)
-    return {"train": len(train_labels), "val": len(splits.val_labels),
-            "test": len(splits.test_labels)}
+    return counts
 
 
 def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
@@ -310,7 +324,7 @@ STAGES = {stage.name: stage for stage in (
           (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "ae_epochs", "ae_batch", "ae_lr", "lr_step",
            "lr_factor")),
     Stage("encode", ("train-ae",), lambda p: (p.latents,),
-          lambda cfg, p, run: stage_encode(cfg, p, run.splits()),
+          lambda cfg, p, run: stage_encode(cfg, p, run.splits(last_read=True)),
           (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "augment_copies")),
     Stage("qtransform", ("encode",), lambda p: (p.qfeatures,),
           lambda cfg, p, _: stage_qtransform(cfg, p), _QUANTUM_FIELDS),
@@ -421,11 +435,13 @@ class PipelineRun:
             return "upstream ran"
         return None
 
-    def splits(self) -> Splits:
-        """The config's splits, loaded once per run."""
-        if self._splits is None:
-            self._splits = load_splits(self.cfg)
-        return self._splits
+    def splits(self, *, last_read: bool = False) -> Splits:
+        """The config's splits, loaded at most once per run. The stage that
+        reads them last passes ``last_read=True`` and takes them over: the
+        run keeps no reference, so they are freed when that stage lets go."""
+        splits = self._splits if self._splits is not None else load_splits(self.cfg)
+        self._splits = None if last_read else splits
+        return splits
 
     def _save_records(self) -> None:
         text = json.dumps(self.records, indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import batch_iter
 from .layers import Dropout
-from .losses import cross_entropy_loss, mse_loss
+from .losses import cross_entropy_in_place, cross_entropy_loss, mse_in_place, mse_loss
 from .network import Network
 from .optim import Adam, lr_schedule
 from .rng import Rng
@@ -33,14 +33,25 @@ class EpochRecord:
 def evaluate(net: Network, x, y: np.ndarray | None, loss_fn) -> tuple[float, np.ndarray]:
     """Inference-mode loss over a full set, in ``Network.batches``; returns
     the mean loss against ``y`` and each row's argmax output. With y=None
-    each input batch is its own target (autoencoder mode)."""
+    each input batch is its own target (autoencoder mode).
+
+    ``loss_fn`` is ``mse_loss`` or ``cross_entropy_loss``, but no gradient
+    is built: each batch's loss is taken in the output's own buffer by
+    ``mse_in_place`` or ``cross_entropy_in_place``, which give the bits of
+    ``loss_fn(...)[0]``. An output that shares memory with its input rows (a
+    network of Dropout layers alone passes them through) is copied first,
+    so x is never written."""
     net.eval()
+    loss_in_place = mse_in_place if loss_fn is mse_loss else cross_entropy_in_place
     total = 0.0
     preds = np.empty(len(x), dtype=np.int64)
     for start, rows, out in net.batches(x):
-        loss, _ = loss_fn(rows if y is None else y[start : start + len(out)], out)
-        total += loss * len(out)
-        preds[start : start + len(out)] = out.argmax(axis=1)
+        stop = start + len(out)
+        preds[start:stop] = out.argmax(axis=1)
+        if np.may_share_memory(out, rows):
+            out = out.copy()
+        total += loss_in_place(rows if y is None else y[start:stop], out) * len(out)
+        del rows, out  # so the next batch is built without this one alive
     return total / len(x), preds
 
 
@@ -102,6 +113,9 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
             if classify:
                 acc_sum += float(np.sum(out.argmax(axis=1) == yb.argmax(axis=1)))
         n = len(x_epoch)
+        # drop the epoch's stack and last batch before validation and before
+        # the next epoch's stack is built
+        del x_epoch, xb, yb, out, grad
         record = EpochRecord(epoch=epoch, train_loss=loss_sum / n)
         if classify:
             record.train_acc = acc_sum / n

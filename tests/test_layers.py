@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhybrid.layers import BatchNorm, Dense, Dropout, softmax
+from qhybrid.layers import ACTIVATIONS, BatchNorm, Dense, Dropout, softmax
 from qhybrid.losses import mse_loss
 from qhybrid.rng import Rng
 
@@ -45,6 +45,41 @@ def test_sigmoid_at_zero():
     layer = Dense(1, 1, "sigmoid")
     out = layer.forward(np.array([[0.0]]))
     assert out[0, 0] == 0.5
+
+
+def _textbook(activation, z):
+    """The activations as plain expressions, each on a fresh array."""
+    if activation == "relu":
+        return np.maximum(0.0, z)
+    if activation == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    if activation == "softmax":
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return z
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_inference_forward_has_the_bits_of_training_forward(activation):
+    # identity weights put extreme pre-activations in place: +-700 (exp stays
+    # finite), exact zeros of both signs, and a row whose maximum is tied
+    identity = Dense(4, 4, activation)
+    identity.W[...] = np.eye(4)
+    extreme = np.array([[700.0, -700.0, 0.0, -0.0],
+                        [0.0, 0.0, 0.0, 0.0],
+                        [2.5, 2.5, -1.0, 2.5],
+                        [-700.0, 700.0, 700.0, -699.5]])
+    rng = Rng(41)
+    spread = Dense(6, 5, activation, rng=rng)
+    spread.b[...] = rng.uniform(5) * 4.0 - 2.0
+    for layer, x in ((identity, extreme), (spread, rng.uniform(8 * 6).reshape(8, 6) * 200 - 100)):
+        kept = x.copy()
+        reference = _textbook(activation, x @ layer.W.T + layer.b)
+        trained = layer.forward(x, training=True)
+        inferred = layer.forward(x, training=False)
+        assert inferred is not x and np.array_equal(x, kept)
+        assert trained.tobytes() == reference.tobytes()
+        assert inferred.tobytes() == reference.tobytes()
 
 
 def test_dense_width_mismatch():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qhybrid.layers import softmax
-from qhybrid.losses import cross_entropy_loss, mse_loss
+from qhybrid.losses import cross_entropy_in_place, cross_entropy_loss, mse_in_place, mse_loss
 from qhybrid.rng import Rng
 
 from test_layers import fd_gradient, rel_err
@@ -86,3 +86,26 @@ def test_logit_gradient_matches_finite_differences():
     _, grad = cross_entropy_loss(y, softmax(logits))
     fd = fd_gradient(f, logits)
     assert rel_err(grad, fd) < 1e-6
+
+
+def test_in_place_losses_have_the_bits_of_the_loss_functions():
+    # enough elements that the sums run over several pairwise blocks
+    rng = Rng(37)
+    x = rng.uniform(300 * 70).reshape(300, 70)
+    xhat = rng.uniform(300 * 70).reshape(300, 70)
+    y = np.zeros((300, 70))
+    y[np.arange(300), np.minimum((rng.uniform(300) * 70).astype(np.int64), 69)] = 1.0
+    probs = softmax(rng.uniform(300 * 70).reshape(300, 70) * 80 - 40)
+    probs[0, :] = 0.0  # clipped to the floor
+    probs[1, :] = y[1]  # exact 1 and 0
+    kept = probs.copy()
+    assert mse_in_place(x, xhat.copy()) == mse_loss(x, xhat)[0]
+    assert cross_entropy_in_place(y, probs) == cross_entropy_loss(y, kept)[0]
+    assert not np.array_equal(probs, kept)  # the buffer was the workspace
+
+
+def test_in_place_losses_reject_a_shape_mismatch():
+    with pytest.raises(ValueError, match="mse shape"):
+        mse_in_place(np.zeros((2, 2)), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="cross-entropy shape"):
+        cross_entropy_in_place(np.zeros((2, 10)), np.zeros((2, 1)))

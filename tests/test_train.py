@@ -8,7 +8,7 @@ import pytest
 from qhybrid.data import PixelRows, normalize_and_flatten
 from qhybrid.losses import cross_entropy_loss, mse_loss
 from qhybrid.network import INFERENCE_BATCH, Network, make_autoencoder, make_classifier
-from qhybrid.layers import Dense
+from qhybrid.layers import Dense, Dropout
 from qhybrid.optim import Adam
 from qhybrid.rng import Rng
 from qhybrid.train import MASK_CHUNK, evaluate, train
@@ -273,3 +273,41 @@ def test_autoencoder_mode_gathers_each_batch_once():
     train(ae.net, CountedRows(_pixels(95, 40), "train"), None, epochs=3, batch_size=16,
           adam=Adam(), rng=Rng(96), x_val=CountedRows(_pixels(97, INFERENCE_BATCH + 1), "val"))
     assert gathers == {"train": 3 * 3, "val": 3 * 2}
+
+
+@pytest.mark.parametrize("classify", [False, True])
+def test_evaluate_has_the_bits_of_the_loss_functions(monkeypatch, classify):
+    # 40 rows in batches of 16: the loss is taken in each output's buffer
+    monkeypatch.setattr("qhybrid.network.INFERENCE_BATCH", 16)
+    x = Rng(60).uniform(40 * 12).reshape(40, 12)
+    if classify:
+        net = make_classifier(12, Rng(61), hidden=(9, 7), n_classes=5, dropout=0.3)
+        train(net, x, np.eye(5)[np.arange(40) % 5], epochs=1, batch_size=8, adam=Adam(),
+              rng=Rng(62))
+        y, loss_fn = np.eye(5)[np.arange(40) % 3], cross_entropy_loss
+    else:
+        net, y, loss_fn = make_autoencoder(Rng(63), 12, hidden=9, latent=4).net, None, mse_loss
+    kept = x.copy()
+    loss, preds = evaluate(net, x, y, loss_fn)
+    total, argmax = 0.0, []
+    for start in range(0, 40, 16):
+        out = net.forward(x[start : start + 16])
+        target = x[start : start + 16] if y is None else y[start : start + 16]
+        total += loss_fn(target, out)[0] * len(out)
+        argmax.append(out.argmax(axis=1))
+    assert loss == total / 40
+    assert np.array_equal(preds, np.concatenate(argmax))
+    assert np.array_equal(x, kept)
+
+
+def test_pass_through_network_never_writes_its_input():
+    # Dropout in inference mode returns its input, so the output is a view of x
+    net = Network([Dropout(0.5)])
+    x = Rng(64).uniform(20 * 3).reshape(20, 3)
+    y = np.eye(3)[np.arange(20) % 3]
+    kept = x.copy()
+    assert np.array_equal(net.predict(x, stop=0), kept)
+    assert np.array_equal(net.predict(x), kept)
+    assert evaluate(net, x, None, mse_loss)[0] == 0.0
+    assert evaluate(net, x, y, cross_entropy_loss)[0] == cross_entropy_loss(y, kept)[0] * 20 / 20
+    assert np.array_equal(x, kept)
