@@ -109,8 +109,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if not 0.0 < cfg.lr_factor <= 1.0:
         raise ConfigError(f"lr_factor must be in (0, 1], got {cfg.lr_factor}")
     for key in ("ae_lr", "clf_lr"):
-        if not getattr(cfg, key) > 0.0:
-            raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
     for key in ("rotate_max_deg", "shift_max_px"):
         value = getattr(cfg, key)
         if not (math.isfinite(value) and value >= 0):

@@ -69,8 +69,8 @@ class Dense:
         else:
             self.W = np.zeros((out_width, in_width))
         self.b = np.zeros(out_width)
-        self.grad_W = np.zeros_like(self.W)
-        self.grad_b = np.zeros_like(self.b)
+        self.grad_W = np.zeros((out_width, in_width))
+        self.grad_b = np.zeros(out_width)
         self._x = None
         self._z = None
         self._a = None

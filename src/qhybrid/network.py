@@ -17,8 +17,10 @@ INFERENCE_BATCH = 1024  # rows per batch of an inference pass
 class Network:
     """An ordered layer stack with a training/inference mode switch.
 
-    Each layer's ``W``/``b``/``grad_W``/``grad_b`` is rebound as a view into
-    one flat ``param_vector`` or ``grad_vector``, in ``params()`` order.
+    Each layer's ``W``/``b`` is copied into one flat ``param_vector`` and
+    rebound as a view of it, in ``params()`` order; ``grad_W``/``grad_b``
+    become views of one ``grad_vector`` of zeros that nothing copies into,
+    so a model that never trains never touches its gradient pages.
     """
 
     def __init__(self, layers):
@@ -38,10 +40,11 @@ class Network:
         offset = 0
         for layer in self.layers:
             for name, arr in layer.params():
-                for attr, flat in ((name, self.param_vector), (f"grad_{name}", self.grad_vector)):
-                    view = flat[offset : offset + arr.size].reshape(arr.shape)
-                    view[...] = getattr(layer, attr)
-                    setattr(layer, attr, view)
+                span = slice(offset, offset + arr.size)
+                view = self.param_vector[span].reshape(arr.shape)
+                view[...] = arr
+                setattr(layer, name, view)
+                setattr(layer, f"grad_{name}", self.grad_vector[span].reshape(arr.shape))
                 offset += arr.size
 
     def train(self) -> "Network":
@@ -90,12 +93,15 @@ class Network:
     def backward(self, loss_grad: np.ndarray) -> None:
         """Propagate dL/d(output) back through every layer, filling grads.
         Nothing reads the gradient with respect to the network's input, so
-        the first layer does not compute it."""
+        the first layer does not compute it. Each layer's cache is cleared
+        once its backward has run, so the cached activations are freed while
+        the rest of the pass runs, not when the next forward replaces them."""
         if not self._forward_armed:
             raise RuntimeError("backward requires a preceding forward in training mode")
         grad = loss_grad
         for i in reversed(range(len(self.layers))):
             grad = self.layers[i].backward(grad, input_grad=i > 0)
+            self.layers[i].clear_cache()
         self._forward_armed = False
 
     def params(self) -> list[np.ndarray]:
@@ -136,6 +142,8 @@ class Network:
 
     @classmethod
     def from_entries(cls, entries: dict[str, np.ndarray], prefix: str = "") -> "Network":
+        """The network stored in ``entries``. Each ``W``/``b`` is popped from
+        it, so the tensor is freed once it is copied into ``param_vector``."""
         try:
             n_layers = int(entries[f"{prefix}meta/n_layers"][0])
         except KeyError as exc:
@@ -147,8 +155,8 @@ class Network:
             kind = meta[0]
             if kind == _KIND_DENSE:
                 layer = Dense(int(meta[1]), int(meta[2]), ACTIVATIONS[int(meta[3])])
-                layer.W = entries[f"{tag}/W"]  # copied into the network's vector
-                layer.b = entries[f"{tag}/b"]
+                layer.W = entries.pop(f"{tag}/W")
+                layer.b = entries.pop(f"{tag}/b")
             elif kind == _KIND_BATCHNORM:
                 layer = BatchNorm(int(meta[1]), eps=meta[2], momentum=meta[3])
                 layer.running_mean = entries[f"{tag}/running_mean"].copy()

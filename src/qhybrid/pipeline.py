@@ -3,18 +3,21 @@
 Every stage derives its randomness from Rng(seed).split(<stage label>), so
 stages are independent of execution order and re-runs are byte-identical.
 ``STAGES`` is the one table of the stage graph. A stage's key hashes the
-config fields it reads, the sha256 of the data files among them (not their
+config fields it reads, the digests of the data files among them (not their
 paths) and the keys its deps had when it ran; ``stages.json`` in the output
 directory records it together with the stage's results, which the summary
 and --check read. A stage re-runs when an output is missing, its key
 changed, --force is given, or an upstream stage ran. ``run_pipeline`` runs a
 target stage together with every stage it depends on, so no stage is served
 from outputs built from another config.
+
+Keys and file digests are BLAKE2b-256, ``hashlib.blake2b(..., digest_size=32)``,
+taken from CPython's own ``_blake2`` module: ``hashlib`` would map and
+initialise OpenSSL's libcrypto (about 3.5 MB resident) in every run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import resource
 import time
@@ -24,6 +27,11 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # a Python built without its own BLAKE2
+    from hashlib import blake2b
 
 from .archive import load_archive, save_archive, write_atomic
 from .config import PATH_KEYS, ExperimentConfig, require_data
@@ -346,8 +354,8 @@ STAGES = {stage.name: stage for stage in (
 )}
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
+def _file_digest(path) -> str:
+    digest = blake2b(digest_size=32)
     with open(path, "rb") as f:
         # 64 KiB chunks stay under malloc's mmap threshold; 1 MiB chunks raised
         # it and left the later training arrays a peak RSS 4 MB higher
@@ -369,7 +377,7 @@ class PipelineRun:
         except (FileNotFoundError, ValueError):
             self.records = {}
         self.ran: set[str] = set()
-        self._digests: dict[str, str] | None = None  # sha256 per data path key
+        self._digests: dict[str, str] | None = None  # _file_digest per data path key
         self._splits: Splits | None = None
 
     def run_stage(self, name: str) -> None:
@@ -403,7 +411,7 @@ class PipelineRun:
         data_files = [field for field in stage.reads if field in PATH_KEYS]
         if data_files and self._digests is None:
             require_data(self.cfg)
-            self._digests = {key: _sha256_file(getattr(self.cfg, key)) for key in PATH_KEYS}
+            self._digests = {key: _file_digest(getattr(self.cfg, key)) for key in PATH_KEYS}
         # A data file is keyed on its bytes only, so the same files in
         # another directory match. The JSON round trip makes the record
         # compare equal to its copy read back from stages.json (tuples
@@ -414,7 +422,8 @@ class PipelineRun:
             "inputs": {field: self._digests[field] for field in data_files},
             "deps": {dep: self.records.get(dep, {}).get("key") for dep in stage.deps},
         }))
-        record["key"] = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        record["key"] = blake2b(json.dumps(record, sort_keys=True).encode(),
+                                digest_size=32).hexdigest()
         return record
 
     def _why_run(self, stage: Stage, record: dict) -> str | None:

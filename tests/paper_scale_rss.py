@@ -3,7 +3,9 @@
 Writes 60 000 training and 10 000 test rows of synthetic digits
 (``helpers.write_synthetic_idx``) to a temporary directory, runs
 ``qhybrid pipeline`` on them with one epoch per network, exact mode and one
-BLAS thread, and prints every stage's ``done`` line.
+BLAS thread, and prints every stage's ``done`` line. It then prints the run's
+peak next to the import floor: the maxrss of a process that only imports
+``qhybrid.cli``, under the same environment.
 
 It exits non-zero if the run fails, or if a stage after ``encode`` reports a
 higher maxrss than ``encode`` did: ``encode`` reads the pixel splits last, so
@@ -30,6 +32,11 @@ import sys
 from pathlib import Path
 from helpers import write_synthetic_idx
 write_synthetic_idx(Path(sys.argv[1]), n_train=60_000, n_test=10_000, seed=1)
+"""
+IMPORT_FLOOR = """
+import resource
+import qhybrid.cli
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 DONE = re.compile(r"^\[(?P<stage>[^\]]+)\] done: .* maxrss (?P<mb>\d+\.\d) MB")
 
@@ -68,8 +75,10 @@ def main(argv: list[str]) -> int | str:
     over = {stage: mb for stage, mb in later.items() if mb > maxrss["encode"]}
     if over:
         return f"stages after encode exceed its maxrss of {maxrss['encode']} MB: {over}"
-    print(f"peak {max(maxrss.values())} MB; no stage after encode exceeds its "
-          f"{maxrss['encode']} MB")
+    floor = float(subprocess.run([sys.executable, "-c", IMPORT_FLOOR], env=env, check=True,
+                                 capture_output=True, text=True).stdout)
+    print(f"peak {max(maxrss.values())} MB, import floor {floor:.1f} MB; "
+          f"no stage after encode exceeds its {maxrss['encode']} MB")
     return 0
 
 

@@ -68,6 +68,16 @@ def test_bad_config_value_is_exit_2_before_any_stage(make_config, tmp_path, caps
     assert "running" not in captured.out
 
 
+@pytest.mark.parametrize("key, value", [("ae_lr", "inf"), ("clf_lr", "inf"), ("ae_lr", "nan")])
+def test_non_finite_learning_rate_is_exit_2_before_training(make_config, tmp_path, capsys,
+                                                            key, value):
+    cfg = make_config(out_dir=tmp_path / "bad-lr", **{key: value})
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{key} must be finite and > 0" in captured.err
+    assert "running" not in captured.out
+
+
 @pytest.mark.parametrize("key, value", [
     ("check_latent_val_acc", 2.0),
     ("check_quantum_val_acc", -0.1),

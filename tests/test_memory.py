@@ -1,10 +1,12 @@
-"""Memory held by the inference passes, the training loop and the pipeline.
+"""Memory held by a loaded model, the inference passes, the training loop
+and the pipeline.
 
 numpy reports its allocations to tracemalloc, so a traced peak counts the
 arrays themselves and holds on any machine. Each bound names the arrays a
 pass needs; a previous batch or a second copy of the pixels alive at the
-same time breaks it. Where an array must be gone by a given point (a spent
-epoch stack, the splits after encode), a weak reference checks it exactly.
+same time breaks it. Where an array must be gone by a given point (a copied
+archive tensor, a layer's cache after backward, a spent epoch stack, the
+splits after encode), a weak reference or the cache itself checks it exactly.
 """
 
 import tracemalloc
@@ -16,8 +18,14 @@ from test_train import _pixels
 from qhybrid.archive import load_archive
 from qhybrid.config import load_config
 from qhybrid.data import PixelRows
-from qhybrid.losses import mse_loss
-from qhybrid.network import INFERENCE_BATCH, Autoencoder, make_autoencoder
+from qhybrid.losses import cross_entropy_loss, mse_loss
+from qhybrid.network import (
+    INFERENCE_BATCH,
+    Autoencoder,
+    Network,
+    make_autoencoder,
+    make_classifier,
+)
 from qhybrid.optim import Adam
 from qhybrid.pipeline import PipelineRun, Splits, StagePaths, stage_encode
 from qhybrid.rng import Rng
@@ -105,3 +113,40 @@ def test_augmented_encode_holds_no_list_of_copies(make_config, tmp_path, monkeyp
     peak = _traced_peak(lambda: stage_encode(cfg, paths, splits))
     assert peak <= stack + latents + batch + n * 784 // 2
     assert dict(load_archive(paths.latents))["latents/train"].shape == ((1 + copies) * n, 64)
+
+
+def test_loaded_model_holds_no_archive_tensor(tmp_path, monkeypatch):
+    # checked when the network is built, while Autoencoder.load still holds
+    # the archive's entries: each W and b must be gone once it is copied
+    make_autoencoder(Rng(80), hidden=32, latent=8).save(tmp_path / "ae.qhm")
+    tensors, alive = [], []
+
+    def load(path):
+        entries = load_archive(path)
+        tensors.extend((name, weakref.ref(arr)) for name, arr in entries
+                       if name.endswith(("/W", "/b")))
+        return entries
+
+    def from_entries(cls, entries, prefix=""):
+        net = build(cls, entries, prefix)
+        alive.extend(name for name, ref in tensors if ref() is not None)
+        return net
+
+    build = Network.from_entries.__func__
+    monkeypatch.setattr("qhybrid.network.load_archive", load)
+    monkeypatch.setattr(Network, "from_entries", classmethod(from_entries))
+    Autoencoder.load(tmp_path / "ae.qhm")
+    assert len(tensors) == 8 and alive == []
+
+
+def test_backward_leaves_no_layer_cache():
+    net = make_classifier(12, Rng(81), hidden=(10, 8), dropout=0.25)
+    x = Rng(82).uniform(16 * 12).reshape(16, 12)
+    y = np.eye(10)[np.arange(16) % 10]
+    net.train()
+    net.backward(cross_entropy_loss(y, net.forward(x, rng=Rng(83)))[1])
+    cached = [(i, name) for i, layer in enumerate(net.layers)
+              for name, value in vars(layer).items()
+              if name.startswith("_") and value is not None]
+    assert cached == []
+

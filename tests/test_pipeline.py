@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import DONE, write_synthetic_idx
 
+import qhybrid
 from qhybrid.archive import load_archive
 from qhybrid.cli import EXIT_CHECK, EXIT_OK, main
 from qhybrid.config import ExperimentConfig, load_config
@@ -389,6 +393,31 @@ def test_same_data_in_another_directory_is_cached(make_config, synth_data, tmp_p
     run_pipeline(cfg, log=lines.append)
     assert set(_stage_status(lines).values()) == {"cached"}
     assert _tree(out_dir) == before
+
+
+RUN_CLI = """
+import sys
+from qhybrid.cli import main
+code = main(["--config", sys.argv[1], "pipeline"])
+print("_hashlib" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_cli_run_loads_no_openssl_and_records_blake2b_digests(make_config, synth_data, tmp_path):
+    # hashlib would load _hashlib and map OpenSSL's libcrypto into the run
+    out_dir = tmp_path / "no-openssl"
+    cfg = make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(qhybrid.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, str(cfg)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    records = json.loads(StagePaths(out_dir).manifest.read_text()).values()
+    inputs = {key: digest for record in records for key, digest in record["inputs"].items()}
+    assert inputs == {key: hashlib.blake2b(Path(path).read_bytes(), digest_size=32).hexdigest()
+                      for key, path in synth_data.items()}
 
 
 def test_failed_stage_leaves_no_temp_file_and_no_key(make_config, tmp_path, monkeypatch):
