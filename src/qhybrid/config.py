@@ -101,9 +101,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in ("ae_epochs", "clf_epochs", "train_subset", "augment_copies"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
-    for key in ("ae_batch", "clf_batch", "shots", "lr_step"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    for key, least in (("ae_batch", 1), ("clf_batch", 2), ("shots", 1), ("lr_step", 1)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     if not 0.0 <= cfg.clf_dropout < 1.0:
         raise ConfigError(f"clf_dropout must be in [0, 1), got {cfg.clf_dropout}")
     if not 0.0 < cfg.lr_factor <= 1.0:

@@ -235,25 +235,15 @@ def augment(images: np.ndarray, spec: AugmentSpec, rng: Rng) -> np.ndarray:
     return out
 
 
-def batch_iter(features, labels: np.ndarray | None, batch_size: int, *,
-               shuffle: bool = False, rng: Rng | None = None):
-    """Yield (features, labels) batches covering every row exactly once.
-
-    The last batch may be short. With shuffle=True the epoch order is a
-    permutation drawn from rng, so identical seeds give identical epochs.
-    With labels=None each feature batch is gathered once and is also its own
-    target: (xb, xb).
-    """
+def batch_iter(features, labels: np.ndarray | None, batch_size: int, rng: Rng):
+    """Yield (features, labels) batches covering every row exactly once, in
+    the order of one ``rng.permutation``; the last batch may be short. With
+    labels=None each feature batch is gathered once and is also its own
+    target: (xb, xb)."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(features)
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle=True requires an rng")
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
-    for start in range(0, n, batch_size):
+    order = rng.permutation(len(features))
+    for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         xb = features[idx]
         yield xb, xb if labels is None else labels[idx]

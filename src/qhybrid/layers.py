@@ -39,11 +39,6 @@ def activate(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return z
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction so large logits cannot overflow."""
-    return activate("softmax", z)
-
-
 def _init_weights(in_width: int, out_width: int, activation: str, rng: Rng) -> np.ndarray:
     # He-uniform for relu, Glorot-uniform otherwise; biases start at zero.
     if activation == "relu":
@@ -118,7 +113,8 @@ class BatchNorm:
 
     Training batches are normalized by their own mean and population
     variance; running statistics follow an exponential moving average and
-    drive inference, which is therefore a fixed affine map.
+    drive inference, which is therefore a fixed affine map. A one-row
+    training batch is its own mean: it gives zeros and a zero input gradient.
     """
 
     def __init__(self, width: int, *, eps: float = 1e-5, momentum: float = 0.9):
@@ -140,8 +136,6 @@ class BatchNorm:
             raise ValueError(f"batchnorm expects width {self.in_width}, got {h.shape}")
         if training:
             n = h.shape[0]
-            if n < 2:
-                raise ValueError(f"batchnorm training needs batch >= 2, got {n}")
             mean = h.mean(axis=0)
             c = h - mean
             var = (c * c).sum(axis=0) / n  # population variance, rounded as h.var(axis=0)

@@ -26,7 +26,6 @@ class Network:
     def __init__(self, layers):
         self.layers = list(layers)
         self.training = False
-        self._forward_armed = False
         width = None
         for i, layer in enumerate(self.layers):
             if layer.in_width is not None:
@@ -55,14 +54,12 @@ class Network:
         self.training = False
         for layer in self.layers:
             layer.clear_cache()
-        self._forward_armed = False
         return self
 
     def forward(self, x: np.ndarray, rng: Rng | None = None) -> np.ndarray:
         out = x
         for layer in self.layers:
             out = layer.forward(out, training=self.training, rng=rng)
-        self._forward_armed = self.training
         return out
 
     def batches(self, x, stop: int | None = None):
@@ -95,14 +92,12 @@ class Network:
         Nothing reads the gradient with respect to the network's input, so
         the first layer does not compute it. Each layer's cache is cleared
         once its backward has run, so the cached activations are freed while
-        the rest of the pass runs, not when the next forward replaces them."""
-        if not self._forward_armed:
-            raise RuntimeError("backward requires a preceding forward in training mode")
+        the rest of the pass runs, not when the next forward replaces them.
+        A layer with no cached training forward raises RuntimeError."""
         grad = loss_grad
         for i in reversed(range(len(self.layers))):
             grad = self.layers[i].backward(grad, input_grad=i > 0)
             self.layers[i].clear_cache()
-        self._forward_armed = False
 
     def params(self) -> list[np.ndarray]:
         out = []

@@ -373,9 +373,14 @@ class PipelineRun:
         self.paths = StagePaths(cfg.out_dir)
         self.paths.out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            self.records = json.loads(self.paths.manifest.read_text(encoding="utf-8"))
+            records = json.loads(self.paths.manifest.read_text(encoding="utf-8"))
         except (FileNotFoundError, ValueError):
-            self.records = {}
+            records = {}
+        if not isinstance(records, dict):  # a manifest of another shape holds no record
+            records = {}
+        self.records = {name: rec for name, rec in records.items()  # nor does such a record
+                        if isinstance(rec, dict) and isinstance(rec.get("reads"), dict)
+                        and {"inputs", "deps", "results"} <= rec.keys()}
         self.ran: set[str] = set()
         self._digests: dict[str, str] | None = None  # _file_digest per data path key
         self._splits: Splits | None = None
@@ -431,7 +436,7 @@ class PipelineRun:
         old = self.records.get(stage.name)
         if self.force:
             return "--force"
-        if old is None or "results" not in old:
+        if old is None:
             return "no record"
         if not all(path.exists() for path in stage.outputs(self.paths)):
             return "output missing"

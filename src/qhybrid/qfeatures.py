@@ -21,9 +21,9 @@ temporary spans the whole set. Sampled mode adds only the shot noise. Row i
 measures each block ``shots`` times from its own child stream
 ``rng.split(f"sample/{i}")``, so a row's features do not depend on which
 other rows are transformed with it. Per chunk there is one lane draw over
-all the chunk's streams, then ``sample_from_probs`` counts each block's
-outcomes from its sorted draws; the bit counts of those outcome histograms
-give the marginals.
+all the chunk's streams (``uniform_streams``), then ``sample_from_probs``
+counts each block's outcomes from its sorted draws; the bit counts of those
+outcome histograms give the marginals.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import CNOT, Circuit, H, Ry, sample_from_probs
-from .rng import Rng
+from .rng import Rng, uniform_streams
 
 LATENT_WIDTH = 64
 BLOCK_SIZE = 5
@@ -139,8 +139,9 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
     layout="marginal" emits 5 per-qubit features per block (65 total);
     layout="histogram" emits the full 32-bin outcome distribution per block
     (416 total). mode="exact" emits the closed-form probabilities directly;
-    mode="sampled" estimates them from ``shots`` measurements per block,
-    with one child rng stream per sample so results are order-independent.
+    mode="sampled" estimates them from ``shots`` measurements per block: row
+    i draws 13 * shots uniforms, block after block, from its own child stream
+    ``rng.split(f"sample/{i}")``, so results are order-independent.
     """
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != LATENT_WIDTH:
@@ -168,8 +169,9 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
             features[start:stop] = block_probabilities(thetas, layout).reshape(stop - start, -1)
             continue
         children = [rng.split(f"sample/{i}") for i in range(start, stop)]
-        probs = block_probabilities(thetas, "histogram")
-        counts = sample_from_probs(probs, shots, children)
+        u = uniform_streams(children, N_BLOCKS * shots).reshape(stop - start, N_BLOCKS, shots)
+        counts = sample_from_probs(block_probabilities(thetas, "histogram"), u)
+        del u  # so the next chunk's draws are not made while these are alive
         if layout == "marginal":
             counts = counts @ _OUTCOME_BITS  # per-qubit counts of 1
         features[start:stop] = (counts / shots).reshape(stop - start, -1)

@@ -6,12 +6,11 @@ i, so qubit 0 is the least significant bit.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Rng, uniform_streams
+from .rng import Rng
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 MAX_QUBITS = 16
@@ -139,15 +138,11 @@ def marginals(state: QuantumState) -> np.ndarray:
     ])
 
 
-def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng | Sequence[Rng]) -> np.ndarray:
-    """Outcome counts of shots i.i.d. measurements of a probability vector.
+def sample_from_probs(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome counts of the uniform draws u against each block of probs.
 
-    probs may also be a (blocks, outcomes) stack. Its blocks * shots uniforms
-    come from one draw call in block order, so the stream is consumed exactly
-    as by one call per block. rng may also be a sequence of R streams, one per
-    row of an (R, blocks, outcomes) stack. Row i then draws from rng[i] exactly
-    as a call with that row and that stream alone would; all rows are drawn in
-    one lane pass (``uniform_streams``).
+    probs is (..., outcomes) and u is (..., shots) with probs' leading shape:
+    the shots draws of each block, in draw order. u is sorted in place.
 
     The counts have the shape of probs and are those of the per-draw inverse
     CDF in ``sample_indices``. A draw u lands at or past outcome k + 1 exactly
@@ -156,17 +151,10 @@ def sample_from_probs(probs: np.ndarray, shots: int, rng: Rng | Sequence[Rng]) -
     its first outcomes - 1 cdf values gives the same histogram without
     locating any single draw. The last outcome takes every draw past them.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = np.asarray(probs)
+    shots = u.shape[-1]
+    if u.shape[:-1] != probs.shape[:-1] or shots < 1:
+        raise ValueError(f"need draws of shape {probs.shape[:-1]} + (shots >= 1,), got {u.shape}")
     cdf = np.cumsum(probs, axis=-1).reshape(-1, probs.shape[-1])
-    if isinstance(rng, Rng):
-        u = rng.uniform(len(cdf) * shots)
-    else:
-        if len(rng) != len(probs) or probs.ndim != 3:
-            raise ValueError(f"need one stream per row of an (R, blocks, outcomes) stack, "
-                             f"got {len(rng)} streams for shape {probs.shape}")
-        u = uniform_streams(rng, probs.shape[1] * shots)
     u = u.reshape(len(cdf), shots)
     u.sort(axis=1)
     edges = [np.searchsorted(row, c[:-1], side="left") for row, c in zip(u, cdf)]

@@ -102,7 +102,7 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
         net.train()
         loss_sum, acc_sum = 0.0, 0.0
         masks = _MaskDraws(rng, len(x_epoch) * mask_width)
-        for xb, yb in batch_iter(x_epoch, y, batch_size, shuffle=True, rng=rng):
+        for xb, yb in batch_iter(x_epoch, y, batch_size, rng):
             out = net.forward(xb, rng=masks)
             loss, grad = loss_fn(yb, out)
             if not np.isfinite(loss):

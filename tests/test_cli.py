@@ -5,7 +5,8 @@ import pytest
 from helpers import DONE, idx_image_bytes, idx_label_bytes
 
 from qhybrid.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
-from qhybrid.pipeline import StagePaths
+from qhybrid.config import load_config
+from qhybrid.pipeline import StagePaths, load_splits
 
 
 def test_stage_verbs_in_sequence(make_config, tmp_path, capsys):
@@ -56,6 +57,7 @@ def test_bad_config_key_is_exit_2(tmp_path, capsys):
     ("clf_widths", "16, 0"),
     ("ae_lr", -0.001),
     ("clf_lr", 0),
+    ("clf_batch", 1),  # no batch of one row could be normalised
     ("train_images", ""),
     ("train_images", "."),  # a directory
 ])
@@ -93,6 +95,16 @@ def test_bad_check_floor_is_exit_2_before_any_stage(make_config, tmp_path, capsy
     captured = capsys.readouterr()
     assert key in captured.err
     assert "running" not in captured.out
+
+
+def test_one_row_last_classifier_batch_trains(make_config, tmp_path, capsys):
+    # 215 rows less the 22 held out leave 193 = 6 * 32 + 1: every epoch ends
+    # in a one-row batch, which batch norm takes to zeros
+    cfg = make_config(out_dir=tmp_path / "one-row", train_subset=215, ae_epochs=1,
+                      clf_epochs=2, clf_batch=32)
+    assert len(load_splits(load_config(cfg)).train_images) % 32 == 1
+    assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK, capsys.readouterr().err
+    assert "quantum features" in capsys.readouterr().out
 
 
 def test_missing_data_path_is_exit_2(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_batch_iter_without_labels_gathers_each_batch_once():
             return np.asarray(self)[idx]
 
     x = np.arange(10.0).reshape(10, 1).view(Counted)
-    batches = list(batch_iter(x, None, 4, shuffle=True, rng=Rng(3)))
+    batches = list(batch_iter(x, None, 4, Rng(3)))
     assert len(gathers) == len(batches) == 3
     for xb, yb in batches:
         assert yb is xb
@@ -334,21 +334,15 @@ def test_augment_spec_validation():
 
 def test_batch_iter_partition_sizes():
     x = np.arange(10).reshape(10, 1).astype(float)
-    sizes = [len(xb) for xb, _ in batch_iter(x, x, 4)]
+    sizes = [len(xb) for xb, _ in batch_iter(x, x, 4, Rng(0))]
     assert sizes == [4, 4, 2]
-
-
-def test_batch_iter_no_shuffle_keeps_order():
-    x = np.arange(6).reshape(6, 1).astype(float)
-    rows = np.concatenate([xb[:, 0] for xb, _ in batch_iter(x, x, 4)])
-    assert rows.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_batch_iter_shuffle_deterministic_and_covering():
     x = np.arange(23).reshape(23, 1).astype(float)
     y = x * 10
-    run1 = [xb.copy() for xb, _ in batch_iter(x, y, 5, shuffle=True, rng=Rng(1))]
-    run2 = [xb.copy() for xb, _ in batch_iter(x, y, 5, shuffle=True, rng=Rng(1))]
+    run1 = [xb.copy() for xb, _ in batch_iter(x, y, 5, Rng(1))]
+    run2 = [xb.copy() for xb, _ in batch_iter(x, y, 5, Rng(1))]
     for a, b in zip(run1, run2):
         assert np.array_equal(a, b)
     seen = sorted(np.concatenate([xb[:, 0] for xb in run1]).tolist())
@@ -358,20 +352,20 @@ def test_batch_iter_shuffle_deterministic_and_covering():
 def test_batch_iter_pairs_rows():
     x = np.arange(8).reshape(8, 1).astype(float)
     y = x * 3
-    for xb, yb in batch_iter(x, y, 3, shuffle=True, rng=Rng(4)):
+    for xb, yb in batch_iter(x, y, 3, Rng(4)):
         assert np.array_equal(yb, xb * 3)
 
 
 def test_batch_iter_zero_batch_size():
     x = np.zeros((4, 1))
     with pytest.raises(ValueError):
-        list(batch_iter(x, x, 0))
+        list(batch_iter(x, x, 0, Rng(0)))
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 23, 40])
 def test_batch_iter_epoch_coverage_any_batch_size(batch_size):
     x = np.arange(23).reshape(23, 1).astype(float)
     rows = np.concatenate(
-        [xb[:, 0] for xb, _ in batch_iter(x, x, batch_size, shuffle=True, rng=Rng(2))]
+        [xb[:, 0] for xb, _ in batch_iter(x, x, batch_size, Rng(2))]
     )
     assert sorted(rows.tolist()) == list(range(23))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhybrid.layers import ACTIVATIONS, BatchNorm, Dense, Dropout, softmax
+from qhybrid.layers import ACTIVATIONS, BatchNorm, Dense, Dropout, activate
 from qhybrid.losses import mse_loss
 from qhybrid.rng import Rng
 
@@ -89,27 +89,27 @@ def test_dense_width_mismatch():
 
 
 def test_softmax_symmetry():
-    assert softmax(np.array([[0.0, 0.0]])).tolist() == [[0.5, 0.5]]
+    assert activate("softmax", np.array([[0.0, 0.0]])).tolist() == [[0.5, 0.5]]
 
 
 def test_softmax_huge_logits_no_overflow():
-    out = softmax(np.array([[1000.0, 0.0]]))
+    out = activate("softmax", np.array([[1000.0, 0.0]]))
     assert np.all(np.isfinite(out))
     assert out[0, 0] == pytest.approx(1.0)
     assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_softmax_inverts_log():
-    out = softmax(np.log(np.array([[1.0, 2.0, 3.0]])))
+    out = activate("softmax", np.log(np.array([[1.0, 2.0, 3.0]])))
     assert np.allclose(out, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = Rng(8)
     z = rng.uniform(40).reshape(5, 8) * 20 - 10
-    p = softmax(z)
+    p = activate("softmax", z)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
-    shifted = softmax(z + 3.7)
+    shifted = activate("softmax", z + 3.7)
     assert np.max(np.abs(p - shifted)) < 1e-12
 
 
@@ -117,7 +117,7 @@ def test_softmax_argmax_matches_logits_under_scaling():
     rng = Rng(9)
     z = rng.uniform(60).reshape(6, 10) * 8 - 4
     for scale in (1.0, 0.5, 7.0):
-        assert np.array_equal(softmax(z * scale).argmax(axis=1), z.argmax(axis=1))
+        assert np.array_equal(activate("softmax", z * scale).argmax(axis=1), z.argmax(axis=1))
 
 
 def test_batchnorm_constant_column_maps_to_zero():
@@ -150,10 +150,16 @@ def test_batchnorm_running_stats_match_hand_tracked_ema():
     assert bn.forward(x)[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_batchnorm_training_needs_two_rows():
+def test_batchnorm_one_row_batch_trains_to_zeros():
     bn = BatchNorm(2)
-    with pytest.raises(ValueError, match="batch"):
-        bn.forward(np.zeros((1, 2)), training=True)
+    h = np.array([[3.5, -1e6]])
+    out = bn.forward(h, training=True)
+    assert np.all(np.isfinite(out)) and np.array_equal(out, np.zeros((1, 2)))
+    grad = bn.backward(np.array([[2.0, -7.0]]))
+    assert np.all(np.isfinite(grad)) and np.array_equal(grad, np.zeros((1, 2)))
+    # the row is its own mean, and its variance is zero
+    assert np.array_equal(bn.running_mean, (1 - bn.momentum) * h[0])
+    assert np.array_equal(bn.running_var, np.full(2, bn.momentum))
 
 
 def test_batchnorm_inference_is_repeatable():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhybrid.layers import softmax
+from qhybrid.layers import activate
 from qhybrid.losses import cross_entropy_in_place, cross_entropy_loss, mse_in_place, mse_loss
 from qhybrid.rng import Rng
 
@@ -81,9 +81,9 @@ def test_logit_gradient_matches_finite_differences():
     y[np.arange(4), [0, 2, 5, 1]] = 1.0
 
     def f():
-        return cross_entropy_loss(y, softmax(logits))[0]
+        return cross_entropy_loss(y, activate("softmax", logits))[0]
 
-    _, grad = cross_entropy_loss(y, softmax(logits))
+    _, grad = cross_entropy_loss(y, activate("softmax", logits))
     fd = fd_gradient(f, logits)
     assert rel_err(grad, fd) < 1e-6
 
@@ -95,7 +95,7 @@ def test_in_place_losses_have_the_bits_of_the_loss_functions():
     xhat = rng.uniform(300 * 70).reshape(300, 70)
     y = np.zeros((300, 70))
     y[np.arange(300), np.minimum((rng.uniform(300) * 70).astype(np.int64), 69)] = 1.0
-    probs = softmax(rng.uniform(300 * 70).reshape(300, 70) * 80 - 40)
+    probs = activate("softmax", rng.uniform(300 * 70).reshape(300, 70) * 80 - 40)
     probs[0, :] = 0.0  # clipped to the floor
     probs[1, :] = y[1]  # exact 1 and 0
     kept = probs.copy()

@@ -481,6 +481,23 @@ def test_summary_and_check_read_stage_records_not_files(make_config, tmp_path, c
     assert second.err == first.err and "check failed" in second.err
 
 
+@pytest.mark.parametrize("manifest", [
+    "[]",
+    '{"train-ae": 5}',
+    '{"train-ae": {"reads": [], "inputs": {}, "deps": {}, "results": {}}}',
+])
+def test_manifest_of_another_shape_holds_no_record(make_config, tmp_path, capsys, manifest):
+    out_dir = tmp_path / "odd-manifest"
+    cfg = make_config(out_dir=out_dir, ae_epochs=1)
+    out_dir.mkdir()
+    StagePaths(out_dir).manifest.write_text(manifest)
+    assert main(["--config", str(cfg), "train-ae"]) == EXIT_OK, capsys.readouterr().err
+    status = _stage_status(capsys.readouterr().out.splitlines(), ("train-ae",))
+    assert status == {"train-ae": "running: no record"}
+    assert main(["--config", str(cfg), "train-ae"]) == EXIT_OK
+    assert "[train-ae] cached" in capsys.readouterr().out
+
+
 def test_records_without_results_rerun_once(make_config, tmp_path):
     out_dir = tmp_path / "warm"
     cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))

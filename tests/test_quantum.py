@@ -13,7 +13,7 @@ from qhybrid.quantum import (
     sample_indices,
     simulate,
 )
-from qhybrid.rng import Rng
+from qhybrid.rng import Rng, uniform_streams
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -232,7 +232,7 @@ def test_stacked_sampling_matches_per_block_calls():
     gen = np.random.default_rng(6)
     probs = np.stack([simulate(random_circuit(gen, 5, 8)).probabilities() for _ in range(13)])
     stacked_rng, loop_rng = Rng(12), Rng(12)
-    stacked = sample_from_probs(probs, 1024, stacked_rng)
+    stacked = sample_from_probs(probs, stacked_rng.uniform(13 * 1024).reshape(13, 1024))
     expected = np.stack([_counts(p, loop_rng.uniform(1024)) for p in probs])
     assert stacked.shape == probs.shape
     assert np.array_equal(stacked, expected)
@@ -258,25 +258,13 @@ def test_stream_stack_matches_one_call_per_row(outcomes):
     probs[0, 0] *= 0.9  # a cdf that ends below some draws: the clamp
     streams = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
     alone = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
-    got = sample_from_probs(probs, 200, streams)
+    got = sample_from_probs(probs, uniform_streams(streams, 3 * 200).reshape(4, 3, 200))
     assert got.shape == probs.shape
     for row, p, stream, single in zip(got, probs, streams, alone):
         u = single.uniform(3 * 200).reshape(3, 200)
         expected = [_counts(block, draws) for block, draws in zip(p, u)]
         assert np.array_equal(row, expected)
         assert np.array_equal(stream._state, single._state)
-
-
-class _GivenDraws(Rng):
-    """An Rng whose uniform() returns chosen draws, so a draw can sit on a cdf value."""
-
-    def __init__(self, draws):
-        super().__init__(0)
-        self.draws = draws
-
-    def uniform(self, n):
-        assert n == self.draws.size
-        return self.draws.copy()
 
 
 def test_counts_equal_histogram_of_per_draw_indices():
@@ -294,20 +282,21 @@ def test_counts_equal_histogram_of_per_draw_indices():
         near = np.concatenate([cdf - 2.0**-53, cdf, cdf + 2.0**-53], axis=1)
         pool = np.concatenate([near[(near >= 0.0) & (near < 1.0)], [0.0, 1.0 - 2.0**-53],
                                gen.random(8)])
-        draws = gen.choice(pool, size=(blocks, shots))
+        draws = gen.choice(pool, size=(blocks, shots))  # so a draw can sit on a cdf value
         assert np.all(draws == np.floor(draws * 2.0**53) * 2.0**-53)
-        got = sample_from_probs(probs, shots, _GivenDraws(draws.ravel()))
+        given = draws.copy()
+        got = sample_from_probs(probs, given)
+        assert np.array_equal(given, np.sort(draws, axis=1))  # sorted in place
         expected = np.stack([_counts(p, u) for p, u in zip(probs, draws)])
         assert got.shape == probs.shape and got.dtype.kind == "i"
         assert np.array_equal(got, expected), case
 
 
-def test_stream_stack_needs_one_stream_per_row():
+def test_draws_need_the_leading_shape_of_probs_and_a_shot():
     probs = np.full((2, 13, 32), 1 / 32)
-    with pytest.raises(ValueError, match="one stream per row"):
-        sample_from_probs(probs, 8, [Rng(0)])
-    with pytest.raises(ValueError, match="one stream per row"):
-        sample_from_probs(probs[0], 8, [Rng(0)] * 13)
+    for shape in [(1, 13, 8), (2, 8), (26, 8), (2, 13), (2, 13, 0)]:
+        with pytest.raises(ValueError, match="need draws of shape"):
+            sample_from_probs(probs, np.zeros(shape))
 
 
 def test_zero_shots_rejected():
