@@ -1,8 +1,9 @@
 """MNIST IDX ingestion, normalization, augmentation, and batching.
 
 IDX files are big-endian: a 32-bit magic, dimension sizes, then raw bytes.
-Gzip-compressed files are detected by their 0x1f 0x8b prefix and inflated
-transparently.
+One reader, ``_parse_idx``, serves images and labels: it inflates a file
+that starts with the gzip prefix 0x1f 0x8b, checks the magic, the item shape
+and the payload length, and copies the payload once.
 
 Pixels stay uint8 until a batch needs them: ``PixelRows`` normalises only the
 rows it is indexed with, so no float64 copy of a whole split is ever held.
@@ -66,6 +67,10 @@ class RawDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def take(self, rows: np.ndarray) -> "RawDataset":
+        """The given rows, in that order, as a new dataset (a copy)."""
+        return RawDataset(self.images[rows], self.labels[rows])
+
 
 @dataclass
 class AugmentSpec:
@@ -85,40 +90,33 @@ class AugmentSpec:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
 
 
-def _maybe_gunzip(raw: bytes) -> bytes:
+def _parse_idx(raw: bytes, magic: int, kind: str, item_shape: tuple[int, ...]) -> np.ndarray:
+    """The (N, *item_shape) uint8 payload of an IDX file with the given magic,
+    gunzipped first when it starts with the gzip prefix."""
     if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    return raw
+        raw = gzip.decompress(raw)
+    header = 4 * (2 + len(item_shape))
+    if len(raw) < header:
+        raise IdxTruncatedError(f"{kind} header needs {header} bytes, got {len(raw)}")
+    found, count, *dims = struct.unpack(f">{2 + len(item_shape)}I", raw[:header])
+    if found != magic:
+        raise IdxFormatError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+    if tuple(dims) != item_shape:
+        raise IdxFormatError(f"expected {'x'.join(map(str, item_shape))} {kind}s, got {dims}")
+    expected = header + count * math.prod(item_shape)
+    if len(raw) != expected:
+        raise IdxTruncatedError(f"{kind} payload is {len(raw)} bytes, expected {expected}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(count, *item_shape).copy()
 
 
 def parse_idx_images(raw: bytes) -> np.ndarray:
-    """Parse an IDX image file into a (N, rows, cols) uint8 array."""
-    raw = _maybe_gunzip(raw)
-    if len(raw) < 16:
-        raise IdxTruncatedError(f"image header needs 16 bytes, got {len(raw)}")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
-    if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
-        raise IdxFormatError(f"expected 28x28 images, got {rows}x{cols}")
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise IdxTruncatedError(f"image payload is {len(raw)} bytes, expected {expected}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols).copy()
+    """Parse an IDX image file into a (N, 28, 28) uint8 array."""
+    return _parse_idx(raw, IMAGE_MAGIC, "image", (IMAGE_SIDE, IMAGE_SIDE))
 
 
 def parse_idx_labels(raw: bytes) -> np.ndarray:
     """Parse an IDX label file into a (N,) uint8 array of digits 0..9."""
-    raw = _maybe_gunzip(raw)
-    if len(raw) < 8:
-        raise IdxTruncatedError(f"label header needs 8 bytes, got {len(raw)}")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(f"bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}")
-    if len(raw) != 8 + count:
-        raise IdxTruncatedError(f"label payload is {len(raw)} bytes, expected {8 + count}")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8).copy()
+    labels = _parse_idx(raw, LABEL_MAGIC, "label", ())
     if labels.size and labels.max() >= N_CLASSES:
         raise IdxFormatError(f"label value {labels.max()} exceeds 9")
     return labels

@@ -32,11 +32,8 @@ def cross_entropy_loss(y_onehot: np.ndarray, probs: np.ndarray) -> tuple[float, 
     pre-softmax logits, (probs - y) / batch, which is the softmax and
     cross-entropy chain collapsed into one step.
     """
-    _check_shapes("cross-entropy", y_onehot, probs)
-    batch = y_onehot.shape[0]
-    clipped = np.clip(probs, PROB_FLOOR, 1.0)
-    loss = float(-np.sum(y_onehot * np.log(clipped)) / batch)
-    return loss, (probs - y_onehot) / batch
+    loss = cross_entropy_in_place(y_onehot, probs.copy())
+    return loss, (probs - y_onehot) / len(probs)
 
 
 def mse_in_place(x: np.ndarray, xhat: np.ndarray) -> float:
@@ -49,8 +46,9 @@ def mse_in_place(x: np.ndarray, xhat: np.ndarray) -> float:
 
 
 def cross_entropy_in_place(y_onehot: np.ndarray, probs: np.ndarray) -> float:
-    """``cross_entropy_loss(y_onehot, probs)[0]``, computed in probs' buffer,
-    which it overwrites: the same clip, log, product and sum."""
+    """The batch-mean categorical cross-entropy, computed in probs' buffer,
+    which it overwrites: clip, log, product and sum. ``cross_entropy_loss``
+    takes its loss from here."""
     _check_shapes("cross-entropy", y_onehot, probs)
     np.clip(probs, PROB_FLOOR, 1.0, out=probs)
     np.log(probs, out=probs)

@@ -111,42 +111,40 @@ class Network:
             out.extend(layer.grads())
         return out
 
-    def archive_entries(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    def archive_entries(self) -> list[tuple[str, np.ndarray]]:
         """Flatten the network into named tensors; metadata under "meta/"."""
-        entries: list[tuple[str, np.ndarray]] = [
-            (f"{prefix}meta/n_layers", np.array([float(len(self.layers))]))
-        ]
+        entries = [("meta/n_layers", np.array([float(len(self.layers))]))]
         for i, layer in enumerate(self.layers):
-            tag = f"{prefix}layer{i}"
+            tag = f"layer{i}"
             if isinstance(layer, Dense):
                 act = float(ACTIVATIONS.index(layer.activation))
                 meta = [_KIND_DENSE, layer.in_width, layer.out_width, act]
-                entries.append((f"{prefix}meta/layer{i}", np.array(meta)))
+                entries.append((f"meta/{tag}", np.array(meta)))
                 entries.append((f"{tag}/W", layer.W))
                 entries.append((f"{tag}/b", layer.b))
             elif isinstance(layer, BatchNorm):
                 meta = [_KIND_BATCHNORM, layer.in_width, layer.eps, layer.momentum]
-                entries.append((f"{prefix}meta/layer{i}", np.array(meta)))
+                entries.append((f"meta/{tag}", np.array(meta)))
                 entries.append((f"{tag}/running_mean", layer.running_mean))
                 entries.append((f"{tag}/running_var", layer.running_var))
             elif isinstance(layer, Dropout):
-                entries.append((f"{prefix}meta/layer{i}", np.array([_KIND_DROPOUT, layer.p])))
+                entries.append((f"meta/{tag}", np.array([_KIND_DROPOUT, layer.p])))
             else:
                 raise ArchiveError(f"cannot serialize layer type {type(layer).__name__}")
         return entries
 
     @classmethod
-    def from_entries(cls, entries: dict[str, np.ndarray], prefix: str = "") -> "Network":
+    def from_entries(cls, entries: dict[str, np.ndarray]) -> "Network":
         """The network stored in ``entries``. Each ``W``/``b`` is popped from
         it, so the tensor is freed once it is copied into ``param_vector``."""
         try:
-            n_layers = int(entries[f"{prefix}meta/n_layers"][0])
+            n_layers = int(entries["meta/n_layers"][0])
         except KeyError as exc:
             raise ArchiveError(f"archive lacks network metadata: {exc}") from None
         layers = []
         for i in range(n_layers):
-            meta = entries[f"{prefix}meta/layer{i}"]
-            tag = f"{prefix}layer{i}"
+            tag = f"layer{i}"
+            meta = entries[f"meta/{tag}"]
             kind = meta[0]
             if kind == _KIND_DENSE:
                 layer = Dense(int(meta[1]), int(meta[2]), ACTIVATIONS[int(meta[3])])

@@ -35,7 +35,7 @@ except ImportError:  # a Python built without its own BLAKE2
 
 from .archive import load_archive, save_archive, write_atomic
 from .config import PATH_KEYS, ExperimentConfig, require_data
-from .data import AugmentSpec, PixelRows, augment, load_raw_dataset, one_hot
+from .data import AugmentSpec, PixelRows, RawDataset, augment, load_raw_dataset, one_hot
 from .network import Autoencoder, Network, make_autoencoder, make_classifier
 from .optim import Adam
 from .qfeatures import LAYOUTS, MODES, ScalingStats, transform_features
@@ -50,6 +50,7 @@ from .rng import Rng
 from .train import train
 
 FEATURE_SETS = ("latent", "quantum")
+SPLITS = ("train", "val", "test")
 
 
 class StageError(Exception):
@@ -76,19 +77,10 @@ class StagePaths:
         self.manifest = self.out_dir / "stages.json"
 
 
-@dataclass
-class Splits:
-    train_images: np.ndarray  # (N, 28, 28) uint8
-    train_labels: np.ndarray
-    val_images: np.ndarray
-    val_labels: np.ndarray
-    test_images: np.ndarray
-    test_labels: np.ndarray
-
-
-def load_splits(cfg: ExperimentConfig) -> Splits:
-    """Seed-shuffle the training set, take the configured subset, and hold
-    out the last val_fraction of it; the test files stay untouched."""
+def load_splits(cfg: ExperimentConfig) -> dict[str, RawDataset]:
+    """The train, val and test splits by name. The training set is
+    seed-shuffled, cut to the configured subset, and its last val_fraction
+    held out; the test files stay untouched."""
     require_data(cfg)
     raw_train = load_raw_dataset(cfg.train_images, cfg.train_labels)
     raw_test = load_raw_dataset(cfg.test_images, cfg.test_labels)
@@ -100,15 +92,8 @@ def load_splits(cfg: ExperimentConfig) -> Splits:
     n_val = max(1, int(round(len(order) * cfg.val_fraction)))
     if n_val >= len(order):
         raise StageError(f"validation split swallows all {len(order)} rows")
-    train_idx, val_idx = order[:-n_val], order[-n_val:]
-    return Splits(
-        train_images=raw_train.images[train_idx],
-        train_labels=raw_train.labels[train_idx],
-        val_images=raw_train.images[val_idx],
-        val_labels=raw_train.labels[val_idx],
-        test_images=raw_test.images,
-        test_labels=raw_test.labels,
-    )
+    return {"train": raw_train.take(order[:-n_val]), "val": raw_train.take(order[-n_val:]),
+            "test": raw_test}
 
 
 def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
@@ -120,17 +105,19 @@ def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
     )
 
 
-def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> dict:
+def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths,
+                   splits: dict[str, RawDataset]) -> dict:
     rng = Rng(cfg.seed).split("train-ae")
-    x_val = PixelRows(splits.val_images)
+    x_val = PixelRows(splits["val"].images)
+    train_images = splits["train"].images
     ae = make_autoencoder(rng.split("init"))
     if cfg.augment and cfg.augment_stage in ("ae", "both"):
         spec = _augment_spec(cfg)
 
         def x_train(epoch: int) -> PixelRows:
-            return PixelRows(augment(splits.train_images, spec, rng.split(f"augment/{epoch}")))
+            return PixelRows(augment(train_images, spec, rng.split(f"augment/{epoch}")))
     else:
-        x_train = PixelRows(splits.train_images)
+        x_train = PixelRows(train_images)
 
     history = train(
         ae.net, x_train, None,
@@ -167,28 +154,25 @@ def _with_augmented_copies(cfg: ExperimentConfig, images: np.ndarray) -> np.ndar
     return stack
 
 
-def stage_encode(cfg: ExperimentConfig, paths: StagePaths, splits: Splits) -> dict:
+def stage_encode(cfg: ExperimentConfig, paths: StagePaths,
+                 splits: dict[str, RawDataset]) -> dict:
     """Latents of every split. This stage reads the splits last, so the run
-    hands them over; the train pixels, and the augmented stack built from
-    them, are freed as soon as their latents exist."""
+    hands them over; each split's pixels, and the augmented stack built from
+    the train pixels, are freed as soon as their latents exist."""
     ae = Autoencoder.load(paths.ae_model)
-    train_images, train_labels = splits.train_images, splits.train_labels
-    if cfg.augment and cfg.augment_stage in ("clf", "both") and cfg.augment_copies > 0:
-        # expand the classifier's training set with augmented copies; the
-        # originals keep their leading positions
-        train_images = _with_augmented_copies(cfg, train_images)
-        train_labels = np.tile(train_labels, 1 + cfg.augment_copies)
-    rest = {"val": (splits.val_images, splits.val_labels),
-            "test": (splits.test_images, splits.test_labels)}
-    del splits
-    entries = [("latents/train", ae.encode(PixelRows(train_images))),
-               ("labels/train", train_labels.astype(np.float64))]
-    counts = {"train": len(train_labels)}
-    del train_images, train_labels
-    for split, (images, labels) in rest.items():
-        entries += [(f"latents/{split}", ae.encode(PixelRows(images))),
-                    (f"labels/{split}", labels.astype(np.float64))]
-        counts[split] = len(labels)
+    copies = cfg.augment_copies if cfg.augment and cfg.augment_stage in ("clf", "both") else 0
+    entries, counts = [], {}
+    for split in SPLITS:
+        data = splits.pop(split)
+        if split == "train" and copies:
+            # expand the classifier's training set with augmented copies;
+            # the originals keep their leading positions
+            data = RawDataset(_with_augmented_copies(cfg, data.images),
+                              np.tile(data.labels, 1 + copies))
+        entries += [(f"latents/{split}", ae.encode(PixelRows(data.images))),
+                    (f"labels/{split}", data.labels.astype(np.float64))]
+        counts[split] = len(data)
+        del data
     save_archive(entries, paths.latents)
     return counts
 
@@ -205,7 +189,7 @@ def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
         ("meta/seed", np.array([float(cfg.seed)])),
         ("meta/layout", np.array([float(LAYOUTS.index(cfg.quantum_layout))])),
     ]
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         features = transform_features(
             entries[f"latents/{split}"], stats,
             mode=cfg.quantum_mode, shots=cfg.shots, rng=rng.split(split),
@@ -226,7 +210,7 @@ def _features_for(which: str, paths: StagePaths):
     else:
         raise ValueError(f"feature set must be latent or quantum, got {which!r}")
     sets = {}
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         x = entries[f"{key}/{split}"]
         y = one_hot(entries[f"labels/{split}"].astype(np.int64))
         sets[split] = (x, y)
@@ -383,7 +367,7 @@ class PipelineRun:
                         and {"inputs", "deps", "results"} <= rec.keys()}
         self.ran: set[str] = set()
         self._digests: dict[str, str] | None = None  # _file_digest per data path key
-        self._splits: Splits | None = None
+        self._splits: dict[str, RawDataset] | None = None
 
     def run_stage(self, name: str) -> None:
         """Run the named stage, or log that it is cached. Its deps must have
@@ -449,7 +433,7 @@ class PipelineRun:
             return "upstream ran"
         return None
 
-    def splits(self, *, last_read: bool = False) -> Splits:
+    def splits(self, *, last_read: bool = False) -> dict[str, RawDataset]:
         """The config's splits, loaded at most once per run. The stage that
         reads them last passes ``last_read=True`` and takes them over: the
         run keeps no reference, so they are freed when that stage lets go."""

@@ -3,11 +3,16 @@
 The generator is pinned to this exact algorithm, so a seed gives the same
 stream on every machine and through both implementations below. Trained
 artifacts also pass through BLAS matrix products, so they repeat byte for
-byte for a given OpenBLAS kernel and BLAS thread count. A raw 64-bit output
-word w gives the float ``(w >> 11) * 2**-53``, uniform in [0, 1).
+byte for a given OpenBLAS kernel; the CLI runs BLAS on one thread, so the
+thread count does not matter. A raw 64-bit output word w gives the float
+``(w >> 11) * 2**-53``, uniform in [0, 1).
 
-Raw words come from one of two paths, chosen by the size of the call; both
-yield the identical stream and leave the identical state behind.
+Every draw goes through one door, :func:`uniform_streams`, which takes a
+stack of R streams and n, and returns n floats per stream; :meth:`Rng.uniform`
+is its R = 1 case. It checks the count, converts the words to floats and
+writes the advanced states back. The raw words come from one of two paths,
+chosen by the call's total R * n; both yield the identical stream and leave
+the identical state behind.
 
 * The scalar path (:func:`_scalar_words`) steps the generator one word at a
   time on Python integers. Calls below ``_LANE_MIN`` draws use it, where
@@ -15,17 +20,11 @@ yield the identical stream and leave the identical state behind.
   reference.
 * The lane path (:func:`_lane_words`) serves larger calls. The xoshiro256++
   state transition T is linear over GF(2), so T^m is a 256x256 bit matrix
-  (Blackman & Vigna, arXiv:1805.01407). The path cuts the n draws into L
-  lanes of C = 2^k consecutive steps, moves lane j to T^(jC) s with cached
-  jump tables T^(2^b), then steps all lanes together with uint64 array
-  operations. Read lane after lane, the outputs are the sequential stream.
-
-The lane path takes a stack of R states and draws n words from each in one
-pass: C comes from the total R * n, every row's lanes are jumped by the same
-matmuls and all R * L lanes step together. :meth:`Rng.uniform` is the R = 1
-case; :func:`uniform_streams` serves many streams at once, for example one
-child stream per sampled row, and leaves each stream where its own
-``uniform(n)`` would.
+  (Blackman & Vigna, arXiv:1805.01407). The path cuts each stream's n draws
+  into L lanes of C = 2^k consecutive steps, with C taken from R * n, moves
+  lane j to T^(jC) s with cached jump tables T^(2^b), then steps all R * L
+  lanes together with uint64 array operations. Read lane after lane, each
+  row's outputs are its sequential stream.
 """
 
 from __future__ import annotations
@@ -166,13 +165,11 @@ def _lane_words(states: np.ndarray, n: int) -> np.ndarray:
     s3 = np.empty_like(s0)
     last = n - (n_lanes - 1) * steps  # steps the last lane contributes
     for i in range(steps):
-        if i == last:
-            states[:] = s[:, -n_rows:].T
         s0[i] = s[0]
         s3[i] = s[3]
         _step_lanes(s)
-    if last == steps:
-        states[:] = s[:, -n_rows:].T
+        if i + 1 == last:  # the last lane has made its draws: its state is each row's end
+            states[:] = s[:, -n_rows:].T
     words = s0 + s3
     rot = words >> 41
     words <<= 23
@@ -182,22 +179,28 @@ def _lane_words(states: np.ndarray, n: int) -> np.ndarray:
     return words.reshape(steps, n_lanes, n_rows).transpose(2, 1, 0).reshape(n_rows, -1)[:, :n]
 
 
-def uniform_streams(rngs: Sequence[Rng], n: int) -> np.ndarray:
-    """Row i is what ``rngs[i].uniform(n)`` returns, drawn for all streams together.
+def _words(states: list[np.ndarray], n: int) -> np.ndarray:
+    """The next n raw output words of each of R states, as an (R, n) array;
+    advances every state by n. Below ``_LANE_MIN`` draws in all the states
+    step one after another on the scalar path, otherwise together in lanes."""
+    if len(states) * n < _LANE_MIN:
+        words = [_scalar_words(state, n) for state in states]
+        return np.array(words, dtype=np.uint64).reshape(len(states), n)
+    stack = np.array(states)
+    words = _lane_words(stack, n)
+    for state, end in zip(states, stack):
+        state[:] = end
+    return words
 
-    Each stream advances by exactly n draws, as if it had made that call.
-    Below ``_LANE_MIN`` draws in all, the streams draw one after another.
-    """
+
+def uniform_streams(rngs: Sequence[Rng], n: int) -> np.ndarray:
+    """Row i holds the next n floats of stream ``rngs[i]``, drawn for all
+    streams together; each stream advances by exactly n draws. Every draw of
+    the package comes through here: ``Rng.uniform`` is the one-stream case."""
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"draw count must be >= 0, got {n}")
-    if len(rngs) * n < _LANE_MIN:
-        return np.array([rng.uniform(n) for rng in rngs]).reshape(len(rngs), n)
-    states = np.array([rng._state for rng in rngs])
-    words = _lane_words(states, n)
-    for rng, state in zip(rngs, states):
-        rng._state[:] = state
-    return (words >> 11) * _FLOAT_SCALE
+    return (_words([rng._state for rng in rngs], n) >> 11) * _FLOAT_SCALE
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -224,14 +227,7 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """n float64 values in [0, 1); advances the stream by exactly n draws."""
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"draw count must be >= 0, got {n}")
-        if n < _LANE_MIN:
-            words = _scalar_words(self._state, n)
-        else:
-            words = _lane_words(self._state[None], n)[0]
-        return (words >> 11) * _FLOAT_SCALE
+        return uniform_streams([self], n)[0]
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), consuming n-1 draws."""
@@ -255,11 +251,7 @@ class Rng:
         always yields the same child regardless of call order. Use distinct
         labels for distinct children.
         """
-        digest = bytearray()
-        for w in self._state:
-            digest += int(w).to_bytes(8, "little")
-        digest += label.encode("utf-8")
-        return Rng(_fnv1a64(bytes(digest)))
+        return Rng(_fnv1a64(self._state.astype("<u8").tobytes() + label.encode("utf-8")))
 
     def __repr__(self) -> str:
         return f"Rng(state={[hex(int(w)) for w in self._state]})"

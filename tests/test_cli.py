@@ -102,7 +102,7 @@ def test_one_row_last_classifier_batch_trains(make_config, tmp_path, capsys):
     # in a one-row batch, which batch norm takes to zeros
     cfg = make_config(out_dir=tmp_path / "one-row", train_subset=215, ae_epochs=1,
                       clf_epochs=2, clf_batch=32)
-    assert len(load_splits(load_config(cfg)).train_images) % 32 == 1
+    assert len(load_splits(load_config(cfg))["train"]) % 32 == 1
     assert main(["--config", str(cfg), "pipeline"]) == EXIT_OK, capsys.readouterr().err
     assert "quantum features" in capsys.readouterr().out
 

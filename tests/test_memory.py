@@ -17,7 +17,7 @@ from test_train import _pixels
 
 from qhybrid.archive import load_archive
 from qhybrid.config import load_config
-from qhybrid.data import PixelRows
+from qhybrid.data import PixelRows, RawDataset
 from qhybrid.losses import cross_entropy_loss, mse_loss
 from qhybrid.network import (
     INFERENCE_BATCH,
@@ -27,7 +27,7 @@ from qhybrid.network import (
     make_classifier,
 )
 from qhybrid.optim import Adam
-from qhybrid.pipeline import PipelineRun, Splits, StagePaths, stage_encode
+from qhybrid.pipeline import PipelineRun, StagePaths, stage_encode
 from qhybrid.rng import Rng
 from qhybrid.train import evaluate, train
 
@@ -80,18 +80,19 @@ def test_train_drops_each_epoch_stack_before_building_the_next():
 def test_run_holds_no_splits_after_encode(make_config, monkeypatch):
     run = PipelineRun(load_config(make_config()), log=lambda _msg: None)
     run.run_stage("train-ae")
-    splits = weakref.ref(run.splits())
-    train_pixels = weakref.ref(run.splits().train_images)
+    datasets = [weakref.ref(data) for data in run.splits().values()]
+    pixels = {name: weakref.ref(data.images) for name, data in run.splits().items()}
     alive = []
 
-    def rows(images):  # records, per split encoded, whether the train pixels live
-        alive.append(train_pixels() is not None)
+    def rows(images):  # records, per split encoded, whose pixels still live
+        alive.append([name for name, ref in pixels.items() if ref() is not None])
         return PixelRows(images)
 
     monkeypatch.setattr("qhybrid.pipeline.PixelRows", rows)
     run.run_stage("encode")
-    assert splits() is None
-    assert alive == [True, False, False]  # train, val, test
+    assert all(ref() is None for ref in datasets)
+    # each split's pixels are freed once its latents exist
+    assert alive == [["train", "val", "test"], ["val", "test"], ["test"]]
 
 
 def test_augmented_encode_holds_no_list_of_copies(make_config, tmp_path, monkeypatch):
@@ -105,8 +106,9 @@ def test_augmented_encode_holds_no_list_of_copies(make_config, tmp_path, monkeyp
     ae = make_autoencoder(Rng(78))
     monkeypatch.setattr(Autoencoder, "load", classmethod(lambda cls, path: ae))
     images, labels = _pixels(79, n + 20), np.arange(n + 20) % 10
-    splits = Splits(images[:n], labels[:n], images[n:n + 10], labels[n:n + 10],
-                    images[n + 10:], labels[n + 10:])
+    splits = {"train": RawDataset(images[:n], labels[:n]),
+              "val": RawDataset(images[n:n + 10], labels[n:n + 10]),
+              "test": RawDataset(images[n + 10:], labels[n + 10:])}
     stack = (1 + copies) * n * 784
     latents = (1 + copies) * n * 64 * 8
     batch = BATCH_784 + INFERENCE_BATCH * (256 + 64) * 8
@@ -127,8 +129,8 @@ def test_loaded_model_holds_no_archive_tensor(tmp_path, monkeypatch):
                        if name.endswith(("/W", "/b")))
         return entries
 
-    def from_entries(cls, entries, prefix=""):
-        net = build(cls, entries, prefix)
+    def from_entries(cls, entries):
+        net = build(cls, entries)
         alive.extend(name for name, ref in tensors if ref() is not None)
         return net
 

@@ -63,19 +63,19 @@ def finished_run(tmp_path_factory, synth_data):
 def test_split_sizes_and_determinism(make_config):
     cfg = load_config(make_config())
     splits = load_splits(cfg)
-    assert len(splits.train_images) == 234  # 260 minus the 10% holdout
-    assert len(splits.val_images) == 26
-    assert len(splits.test_images) == 100
+    assert len(splits["train"].images) == 234  # 260 minus the 10% holdout
+    assert len(splits["val"].images) == 26
+    assert len(splits["test"].images) == 100
     again = load_splits(cfg)
-    assert np.array_equal(splits.train_labels, again.train_labels)
-    assert np.array_equal(splits.val_images, again.val_images)
+    assert np.array_equal(splits["train"].labels, again["train"].labels)
+    assert np.array_equal(splits["val"].images, again["val"].images)
 
 
 def test_subset_applied_before_split(make_config):
     cfg = load_config(make_config(train_subset=100))
     splits = load_splits(cfg)
-    assert len(splits.train_images) == 90
-    assert len(splits.val_images) == 10
+    assert len(splits["train"].images) == 90
+    assert len(splits["val"].images) == 10
 
 
 def test_all_artifacts_written(finished_run):
@@ -123,7 +123,7 @@ def test_cached_val_latents_and_reconstruction_match_reported_val_mse(finished_r
     ae = Autoencoder.load(paths.ae_model)
     latents = dict(load_archive(paths.latents))
     splits = load_splits(cfg)
-    x_val = splits.val_images.reshape(len(splits.val_images), -1) / 255.0
+    x_val = splits["val"].images.reshape(len(splits["val"].images), -1) / 255.0
     assert np.array_equal(latents["latents/val"], ae.encode(x_val))
     loss, _ = mse_loss(x_val, ae.reconstruct(x_val))
     _, rows = read_csv(paths.ae_loss_csv)
@@ -134,7 +134,7 @@ def test_encode_is_pure(finished_run):
     cfg, paths, _ = finished_run
     ae = Autoencoder.load(paths.ae_model)
     splits = load_splits(cfg)
-    x = splits.test_images.reshape(len(splits.test_images), -1) / 255.0
+    x = splits["test"].images.reshape(len(splits["test"].images), -1) / 255.0
     assert np.array_equal(ae.encode(x), ae.encode(x))
 
 
