@@ -96,6 +96,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    if not cfg.out_dir:
+        raise ConfigError("out_dir must name a directory, got an empty value")
     if not 0.0 < cfg.val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {cfg.val_fraction}")
     for key in ("ae_epochs", "clf_epochs", "train_subset", "augment_copies"):

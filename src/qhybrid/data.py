@@ -3,7 +3,8 @@
 IDX files are big-endian: a 32-bit magic, dimension sizes, then raw bytes.
 One reader, ``_parse_idx``, serves images and labels: it inflates a file
 that starts with the gzip prefix 0x1f 0x8b, checks the magic, the item shape
-and the payload length, and copies the payload once.
+and the payload length, and copies the payload once. ``load_raw_dataset``
+puts the file's path in front of any parse or gunzip error.
 
 Pixels stay uint8 until a batch needs them: ``PixelRows`` normalises only the
 rows it is indexed with, so no float64 copy of a whole split is ever held.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,9 +125,19 @@ def parse_idx_labels(raw: bytes) -> np.ndarray:
 
 
 def load_raw_dataset(images_path, labels_path) -> RawDataset:
-    images = parse_idx_images(Path(images_path).read_bytes())
-    labels = parse_idx_labels(Path(labels_path).read_bytes())
-    return RawDataset(images=images, labels=labels)
+    """The images and labels of two IDX files. A file that does not parse or
+    gunzip raises IdxFormatError with its path first in the message; a count
+    mismatch names both files."""
+    arrays = []
+    for path, parse in ((images_path, parse_idx_images), (labels_path, parse_idx_labels)):
+        try:
+            arrays.append(parse(Path(path).read_bytes()))
+        except (ValueError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise IdxFormatError(f"{path}: {exc}") from exc
+    try:
+        return RawDataset(*arrays)
+    except IdxFormatError as exc:
+        raise IdxFormatError(f"{images_path}, {labels_path}: {exc}") from None
 
 
 def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:

@@ -18,9 +18,11 @@ initialise OpenSSL's libcrypto (about 3.5 MB resident) in every run.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -457,13 +459,36 @@ def stage_closure(target: str) -> list[str]:
     return [name for name in STAGES if name in needed]
 
 
+@contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, and on the
+    previous count after it; do nothing when numpy ships without one."""
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if not found:
+        yield
+        return
+    blas = ctypes.CDLL(str(found[0]))
+    threads = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        blas.scipy_openblas_set_num_threads64_(threads)
+
+
 def run_pipeline(cfg: ExperimentConfig, target: str = "summary", *, force: bool = False,
                  log=print) -> str | None:
     """Run stage_closure(target) with per-stage caching; --force re-runs each
-    of those stages. Returns the summary text when the target is ``summary``."""
+    of those stages. Returns the summary text when the target is ``summary``.
+
+    The stages run with BLAS on one thread: a product over 784 inputs rounds
+    differently on two, so the pin makes trained artifacts independent of
+    the machine's core count."""
     run = PipelineRun(cfg, force=force, log=log)
-    for name in stage_closure(target):
-        run.run_stage(name)
+    with one_blas_thread():
+        for name in stage_closure(target):
+            run.run_stage(name)
     if target == "summary":
         return run.paths.summary.read_text(encoding="utf-8")
     return None

@@ -3,8 +3,8 @@
 The generator is pinned to this exact algorithm, so a seed gives the same
 stream on every machine and through both implementations below. Trained
 artifacts also pass through BLAS matrix products, so they repeat byte for
-byte for a given OpenBLAS kernel; the CLI runs BLAS on one thread, so the
-thread count does not matter. A raw 64-bit output word w gives the float
+byte for a given OpenBLAS kernel; the pipeline runs BLAS on one thread, so
+the thread count does not matter. A raw 64-bit output word w gives the float
 ``(w >> 11) * 2**-53``, uniform in [0, 1).
 
 Every draw goes through one door, :func:`uniform_streams`, which takes a

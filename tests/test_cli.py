@@ -1,9 +1,15 @@
+import gzip
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import DONE, idx_image_bytes, idx_label_bytes
 
+import qhybrid
 from qhybrid.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from qhybrid.config import load_config
 from qhybrid.pipeline import StagePaths, load_splits
@@ -129,6 +135,65 @@ def test_corrupt_idx_data_is_exit_2(make_config, synth_data, tmp_path, capsys):
     corrupt.write_bytes(synth_data["train_images"].read_bytes()[:-3])
     cfg = make_config(train_images=corrupt, out_dir=tmp_path / "c")
     assert main(["--config", str(cfg), "train-ae"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: gzip.compress(raw)[: len(gzip.compress(raw)) // 2],  # truncated .gz
+    lambda raw: idx_label_bytes(np.zeros(3, dtype=np.uint8)),  # a label file's magic
+    lambda raw: b"\x1f\x8b" + b"not a gzip stream",  # junk after the gzip prefix
+], ids=["truncated-gz", "bad-magic", "junk-after-gzip-prefix"])
+def test_bad_data_file_error_names_the_file(make_config, synth_data, tmp_path, capsys, damage):
+    bad = tmp_path / "bad-images"
+    bad.write_bytes(damage(synth_data["train_images"].read_bytes()))
+    out_dir = tmp_path / "bad"
+    cfg = make_config(train_images=bad, out_dir=out_dir)
+    assert main(["--config", str(cfg), "train-ae"]) == EXIT_CONFIG
+    assert f"error: train-ae: {bad}: " in capsys.readouterr().err
+    assert not StagePaths(out_dir).ae_model.exists()
+
+
+def test_image_label_count_mismatch_names_both_files(make_config, synth_data, tmp_path,
+                                                     capsys):
+    labels = tmp_path / "short-labels"
+    labels.write_bytes(idx_label_bytes(np.zeros(100 - 1, dtype=np.uint8)))
+    cfg = make_config(test_labels=labels, out_dir=tmp_path / "mismatch")
+    assert main(["--config", str(cfg), "train-ae"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(synth_data["test_images"]) in err and str(labels) in err
+
+
+@pytest.mark.parametrize("where", ["config", "--out"])
+def test_empty_out_dir_is_exit_2_and_writes_nothing(make_config, tmp_path, monkeypatch, capsys,
+                                                    where):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if where == "config":
+        argv = ["--config", str(make_config(out_dir=""))]
+    else:
+        argv = ["--config", str(make_config()), "--out", ""]
+    assert main([*argv, "pipeline"]) == EXIT_CONFIG
+    assert "out_dir" in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(make_config, tmp_path):
+    # a product over 784 inputs rounds differently on one and two OpenBLAS
+    # threads; the CLI pins one, so both runs write the same bytes
+    cfg = make_config(ae_epochs=2, clf_epochs=2)
+    src = str(Path(qhybrid.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "qhybrid.cli", "--config", str(cfg), "--out",
+                        str(out), "pipeline"], env=env, check=True, capture_output=True)
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert Path("stages.json") in trees[0]
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
 
 
 def test_empty_test_set_is_exit_2_before_training(make_config, tmp_path, capsys):

@@ -18,7 +18,14 @@ from qhybrid.cli import EXIT_CHECK, EXIT_OK, main
 from qhybrid.config import ExperimentConfig, load_config
 from qhybrid.losses import mse_loss
 from qhybrid.network import Autoencoder
-from qhybrid.pipeline import STAGES, StageError, StagePaths, load_splits, run_pipeline
+from qhybrid.pipeline import (
+    STAGES,
+    StageError,
+    StagePaths,
+    load_splits,
+    one_blas_thread,
+    run_pipeline,
+)
 from qhybrid.reports import read_csv
 
 ARTIFACTS = [
@@ -118,14 +125,16 @@ def test_history_csv_columns(finished_run):
 
 def test_cached_val_latents_and_reconstruction_match_reported_val_mse(finished_run):
     # the cached val latents are the encoder's output for the val split, and
-    # reconstructing that split reproduces the history's final validation MSE
+    # reconstructing that split reproduces the history's final validation MSE;
+    # both are computed with BLAS on one thread, as the pipeline runs it
     cfg, paths, _ = finished_run
     ae = Autoencoder.load(paths.ae_model)
     latents = dict(load_archive(paths.latents))
     splits = load_splits(cfg)
     x_val = splits["val"].images.reshape(len(splits["val"].images), -1) / 255.0
-    assert np.array_equal(latents["latents/val"], ae.encode(x_val))
-    loss, _ = mse_loss(x_val, ae.reconstruct(x_val))
+    with one_blas_thread():
+        assert np.array_equal(latents["latents/val"], ae.encode(x_val))
+        loss, _ = mse_loss(x_val, ae.reconstruct(x_val))
     _, rows = read_csv(paths.ae_loss_csv)
     assert abs(loss - float(rows[-1][2])) < 1e-9
 
