@@ -132,7 +132,7 @@ def load_raw_dataset(images_path, labels_path) -> RawDataset:
     for path, parse in ((images_path, parse_idx_images), (labels_path, parse_idx_labels)):
         try:
             arrays.append(parse(Path(path).read_bytes()))
-        except (ValueError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        except (IdxFormatError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise IdxFormatError(f"{path}: {exc}") from exc
     try:
         return RawDataset(*arrays)

@@ -462,29 +462,31 @@ def stage_closure(target: str) -> list[str]:
 @contextmanager
 def one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block, and on the
-    previous count after it; do nothing when numpy ships without one."""
+    previous count after it; do nothing when numpy ships without one. A
+    product over 784 inputs rounds differently on two threads, so the pin
+    makes trained artifacts independent of the machine's core count."""
     found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
         "libscipy_openblas64_*.so"))
     if not found:
         yield
         return
     blas = ctypes.CDLL(str(found[0]))
-    threads = blas.scipy_openblas_get_num_threads64_()
-    blas.scipy_openblas_set_num_threads64_(1)
+    get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
     try:
         yield
     finally:
-        blas.scipy_openblas_set_num_threads64_(threads)
+        put(threads)
 
 
 def run_pipeline(cfg: ExperimentConfig, target: str = "summary", *, force: bool = False,
                  log=print) -> str | None:
     """Run stage_closure(target) with per-stage caching; --force re-runs each
-    of those stages. Returns the summary text when the target is ``summary``.
-
-    The stages run with BLAS on one thread: a product over 784 inputs rounds
-    differently on two, so the pin makes trained artifacts independent of
-    the machine's core count."""
+    of those stages, which run under ``one_blas_thread``. Returns the summary
+    text when the target is ``summary``."""
     run = PipelineRun(cfg, force=force, log=log)
     with one_blas_thread():
         for name in stage_closure(target):

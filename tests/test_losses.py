@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from qhybrid.layers import activate
-from qhybrid.losses import cross_entropy_in_place, cross_entropy_loss, mse_in_place, mse_loss
+from qhybrid.losses import (
+    PROB_FLOOR,
+    cross_entropy_in_place,
+    cross_entropy_loss,
+    mse_in_place,
+    mse_loss,
+)
 from qhybrid.rng import Rng
 
 from test_layers import fd_gradient, rel_err
@@ -99,9 +105,12 @@ def test_in_place_losses_have_the_bits_of_the_loss_functions():
     probs[0, :] = 0.0  # clipped to the floor
     probs[1, :] = y[1]  # exact 1 and 0
     kept = probs.copy()
+    # the written-out cross-entropy; cross_entropy_loss leaves its input alone
+    reference = float(-np.sum(y * np.log(np.clip(kept, PROB_FLOOR, 1.0))) / len(y))
     assert mse_in_place(x, xhat.copy()) == mse_loss(x, xhat)[0]
-    assert cross_entropy_in_place(y, probs) == cross_entropy_loss(y, kept)[0]
+    assert cross_entropy_in_place(y, probs) == cross_entropy_loss(y, kept)[0] == reference
     assert not np.array_equal(probs, kept)  # the buffer was the workspace
+    assert np.array_equal(kept[1], y[1])
 
 
 def test_in_place_losses_reject_a_shape_mismatch():
