@@ -9,10 +9,10 @@ the thread count does not matter. A raw 64-bit output word w gives the float
 
 Every draw goes through one door, :func:`uniform_streams`, which takes a
 stack of R streams and n, and returns n floats per stream; :meth:`Rng.uniform`
-is its R = 1 case. It checks the count, converts the words to floats and
-writes the advanced states back. The raw words come from one of two paths,
-chosen by the call's total R * n; both yield the identical stream and leave
-the identical state behind.
+is its R = 1 case. It checks the count once and converts the words to
+floats once; each stream's state advances in place. The raw words come from
+one of two paths, chosen by the call's total R * n; both yield the identical
+stream and leave the identical state behind.
 
 * The scalar path (:func:`_scalar_words`) steps the generator one word at a
   time on Python integers. Calls below ``_LANE_MIN`` draws use it, where
