@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .archive import ArchiveError
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, load_config
 from .data import IdxFormatError
 from .pipeline import (
     FEATURE_SETS,
@@ -55,12 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    validate_config(cfg)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
 
     features = getattr(args, "features", None)
     target = {"pipeline": "summary", "train-clf": f"clf-{features}",

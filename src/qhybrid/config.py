@@ -144,12 +144,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse the file, replace the fields given as overrides that are not
+    None, then validate, so an override rescues a bad value it replaces."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return validate_config(parse_config(text))
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return validate_config(dataclasses.replace(parse_config(text), **given))
 
 
 def require_data(cfg: ExperimentConfig) -> None:

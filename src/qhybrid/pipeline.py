@@ -6,10 +6,12 @@ stages are independent of execution order and re-runs are byte-identical.
 config fields it reads, the digests of the data files among them (not their
 paths) and the keys its deps had when it ran; ``stages.json`` in the output
 directory records it together with the stage's results, which the summary
-and --check read. A stage re-runs when an output is missing, its key
-changed, --force is given, or an upstream stage ran. ``run_pipeline`` runs a
-target stage together with every stage it depends on, so no stage is served
-from outputs built from another config.
+and --check read, and the environment that built it (``run_env``: a digest
+of the package's source, the numpy version and the OpenBLAS kernel), kept
+outside the key. A stage re-runs when an output is missing, its key or its
+environment changed, --force is given, or an upstream stage ran.
+``run_pipeline`` runs a target stage together with every stage it depends
+on, so no stage is served from outputs built from another config.
 
 Keys and file digests are BLAKE2b-256, ``hashlib.blake2b(..., digest_size=32)``,
 taken from CPython's own ``_blake2`` module: ``hashlib`` would map and
@@ -356,6 +358,7 @@ class PipelineRun:
 
     def __init__(self, cfg: ExperimentConfig, *, force: bool = False, log=print):
         self.cfg, self.force, self.log = cfg, force, log
+        self.env = run_env()
         self.paths = StagePaths(cfg.out_dir)
         self.paths.out_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -366,6 +369,7 @@ class PipelineRun:
             records = {}
         self.records = {name: rec for name, rec in records.items()  # nor does such a record
                         if isinstance(rec, dict) and isinstance(rec.get("reads"), dict)
+                        and isinstance(rec.get("env"), dict)
                         and {"inputs", "deps", "results"} <= rec.keys()}
         self.ran: set[str] = set()
         self._digests: dict[str, str] | None = None  # _file_digest per data path key
@@ -394,7 +398,7 @@ class PipelineRun:
         self.log(f"[{name}] done: {time.perf_counter() - start:.3f} s, "
                  f"maxrss {usage.ru_maxrss / 1024:.1f} MB, "
                  f"{usage.ru_minflt - faults} minor faults")
-        self.records[name] = {**record, "results": results}
+        self.records[name] = {**record, "results": results, "env": self.env}
         self._save_records()
         self.ran.add(name)
 
@@ -431,6 +435,12 @@ class PipelineRun:
             return f"{', '.join(changed)} changed"
         if old["inputs"] != record["inputs"]:
             return "input changed"
+        if old["env"].get("code") != self.env["code"]:
+            return "code changed"
+        moved = [f"{fact} {old['env'].get(fact)} -> {self.env[fact]}" for fact in ("numpy", "blas")
+                 if old["env"].get(fact) != self.env[fact]]
+        if moved:
+            return f"numeric environment changed ({', '.join(moved)})"
         if old["deps"] != record["deps"] or self.ran.intersection(stage.deps):
             return "upstream ran"
         return None
@@ -459,18 +469,49 @@ def stage_closure(target: str) -> list[str]:
     return [name for name in STAGES if name in needed]
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, or None when numpy ships without one."""
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, for example
+    ``SkylakeX``, or ``none``. Trained bytes repeat per kernel."""
+    blas = _openblas()
+    if blas is None:
+        return "none"
+    name = blas.scipy_openblas_get_corename64_
+    name.argtypes, name.restype = [], ctypes.c_char_p
+    return name().decode()
+
+
+def code_digest() -> str:
+    """BLAKE2b-256 over the name and bytes of every module of the package, in
+    name order: stages reach each other's modules through imports, so the
+    whole package counts as the code of every stage."""
+    digest = blake2b(digest_size=32)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def run_env() -> dict:
+    """The facts a stage's bytes depend on beyond its key, taken once per run."""
+    return {"code": code_digest(), "numpy": np.__version__, "blas": blas_core()}
+
+
 @contextmanager
 def one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block, and on the
     previous count after it; do nothing when numpy ships without one. A
     product over 784 inputs rounds differently on two threads, so the pin
     makes trained artifacts independent of the machine's core count."""
-    found = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
-        "libscipy_openblas64_*.so"))
-    if not found:
+    blas = _openblas()
+    if blas is None:
         yield
         return
-    blas = ctypes.CDLL(str(found[0]))
     get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None

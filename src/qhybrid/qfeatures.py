@@ -16,14 +16,18 @@ features are therefore a cheap classical function of the latents; see
 Bowles, Ahmed & Schuld, arXiv:2403.07059, on benchmarking quantum models
 against classical ones.
 
-Rows go through in chunks of about ``CHUNK_VALUES`` values, so no
-temporary spans the whole set. Sampled mode adds only the shot noise. Row i
-measures each block ``shots`` times from its own child stream
-``rng.split(f"sample/{i}")``, so a row's features do not depend on which
-other rows are transformed with it. Per chunk there is one lane draw over
-all the chunk's streams (``uniform_streams``), then ``sample_from_probs``
-counts each block's outcomes from its sorted draws; the bit counts of those
-outcome histograms give the marginals.
+Rows go through in chunks of ``CHUNK_VALUES // (13 * 32)`` = 315 rows, so
+no temporary spans the whole set. Sampled mode adds only the shot noise.
+Before the CNOT chain the five qubits of a block are independent, with
+p_k(1) = q_k = (1 - sin theta_k) / 2, so a block's shot counts follow a
+chain of binomials, which ``sample_from_probs`` draws exactly with one
+uniform each: 9 per block for the marginal layout (the counts of 1 on each
+qubit after the chain) and 31 for the histogram layout (the 32 outcome
+counts, permuted by the chain as ``block_probabilities`` permutes the
+probabilities). Row i draws its 13 blocks' uniforms, block after block, from
+its own child stream ``rng.split(f"sample/{i}")``, so a row's features do
+not depend on which other rows are transformed with it; each chunk takes
+them in one ``uniform_streams`` call over its rows' streams.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ BLOCK_SIZE = 5
 N_BLOCKS = 13  # ceil(64 / 5); the last block carries one pad slot
 PAD_VALUE = 1.0
 
-# Values per chunk of rows: draws in sampled mode (9 rows at 1024 shots), and
-# in exact mode 32 outcome probabilities per block whatever the layout (315
-# rows). A value-sized temporary is then at most 1 MB, and the pipeline's
-# peak RSS stays where one row at a time left it. With marginal chunks of
-# 2 016 rows (1 MB temporaries) rather than 315 (160 KB), a 4 200-row exact
-# qtransform stage took 1 657 minor page faults rather than 702.
+# Values per chunk of rows, counted as 32 outcome probabilities per block
+# whatever the mode and layout (315 rows). A value-sized temporary is then at
+# most 1 MB, and the pipeline's peak RSS stays where one row at a time left
+# it. With marginal chunks of 2 016 rows (1 MB temporaries) rather than 315
+# (160 KB), a 4 200-row exact qtransform stage took 1 657 minor page faults
+# rather than 702.
 CHUNK_VALUES = 1 << 17
 
 MODES = ("exact", "sampled")
@@ -107,8 +111,6 @@ def block_angles(scaled: np.ndarray) -> np.ndarray:
 # The CNOT chain sends basis state i to prefix_xor(i), whose bit k is
 # bit 0 xor ... xor bit k of i; basis state j therefore comes from j ^ (j << 1).
 _CHAIN_SOURCE = np.array([j ^ (j << 1) % 2**BLOCK_SIZE for j in range(2**BLOCK_SIZE)])
-# Bit k of outcome j: the (32, 5) map from an outcome histogram to per-qubit counts.
-_OUTCOME_BITS = (np.arange(2**BLOCK_SIZE)[:, None] >> np.arange(BLOCK_SIZE)) & 1
 
 
 def block_probabilities(thetas: np.ndarray, layout: str) -> np.ndarray:
@@ -139,8 +141,9 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
     layout="marginal" emits 5 per-qubit features per block (65 total);
     layout="histogram" emits the full 32-bin outcome distribution per block
     (416 total). mode="exact" emits the closed-form probabilities directly;
-    mode="sampled" estimates them from ``shots`` measurements per block: row
-    i draws 13 * shots uniforms, block after block, from its own child stream
+    mode="sampled" emits outcome counts / shots of ``shots`` measurements
+    per block: row i draws 13 * 9 (marginal) or 13 * 31 (histogram)
+    uniforms, block after block, from its own child stream
     ``rng.split(f"sample/{i}")``, so results are order-independent.
     """
     latents = np.asarray(latents, dtype=np.float64)
@@ -160,8 +163,9 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
 
     n = latents.shape[0]
     per_block = BLOCK_SIZE if layout == "marginal" else 2**BLOCK_SIZE
+    draws = 2 * BLOCK_SIZE - 1 if layout == "marginal" else 2**BLOCK_SIZE - 1  # per block
     features = np.empty((n, N_BLOCKS * per_block))
-    rows = max(1, CHUNK_VALUES // (N_BLOCKS * (shots if mode == "sampled" else 2**BLOCK_SIZE)))
+    rows = max(1, CHUNK_VALUES // (N_BLOCKS * 2**BLOCK_SIZE))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         thetas = block_angles(scale_unit(latents[start:stop], stats))
@@ -169,10 +173,10 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
             features[start:stop] = block_probabilities(thetas, layout).reshape(stop - start, -1)
             continue
         children = [rng.split(f"sample/{i}") for i in range(start, stop)]
-        u = uniform_streams(children, N_BLOCKS * shots).reshape(stop - start, N_BLOCKS, shots)
-        counts = sample_from_probs(block_probabilities(thetas, "histogram"), u)
-        del u  # so the next chunk's draws are not made while these are alive
-        if layout == "marginal":
-            counts = counts @ _OUTCOME_BITS  # per-qubit counts of 1
+        u = uniform_streams(children, N_BLOCKS * draws).reshape(stop - start, N_BLOCKS, draws)
+        # q_k, the p(1) of qubit k before the chain, as in block_probabilities
+        counts = sample_from_probs((1.0 - np.sin(thetas)) / 2.0, u, shots, layout)
+        if layout == "histogram":
+            counts = np.take(counts, _CHAIN_SOURCE, axis=-1)
         features[start:stop] = (counts / shots).reshape(stop - start, -1)
     return features

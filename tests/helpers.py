@@ -1,5 +1,6 @@
 """Shared fixture builders: IDX byte blobs and a synthetic digit-like dataset."""
 
+import math
 import struct
 
 import numpy as np
@@ -52,3 +53,18 @@ def write_synthetic_idx(dirpath, n_train: int, n_test: int, seed: int = 777):
     paths["test_images"].write_bytes(idx_image_bytes(te_images))
     paths["test_labels"].write_bytes(idx_label_bytes(te_labels))
     return paths
+
+
+def chi_square(observed, expected) -> tuple[float, float]:
+    """Pearson's chi-square of observed against expected counts, the cells
+    expected below 5 pooled into one, and the 0.999 quantile of its law
+    (Wilson-Hilferty): the bound depends on the expected counts alone, so it
+    is fixed before any draw."""
+    observed, expected = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    cells = expected > 0
+    chi2 = float(((observed[cells] - expected[cells]) ** 2 / expected[cells]).sum())
+    df = int(cells.sum()) - 1
+    return chi2, df * (1.0 - 2.0 / (9 * df) + 3.0902 * math.sqrt(2.0 / (9 * df))) ** 3

@@ -177,6 +177,21 @@ def test_empty_out_dir_is_exit_2_and_writes_nothing(make_config, tmp_path, monke
     assert list(cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, bad, flag, good", [
+    ("out_dir", "", "--out", "run"),
+    ("seed", -1, "--seed", "3"),
+])
+def test_override_rescues_the_bad_value_it_replaces(make_config, tmp_path, monkeypatch, capsys,
+                                                    key, bad, flag, good):
+    monkeypatch.chdir(tmp_path)
+    cfg = make_config(ae_epochs=0, **{key: bad})
+    assert main(["--config", str(cfg), flag, good, "train-ae"]) == EXIT_OK, capsys.readouterr()
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train-ae"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert key in captured.err and "running" not in captured.out
+
+
 def test_artifacts_do_not_depend_on_the_blas_thread_count(make_config, tmp_path):
     # a product over 784 inputs rounds differently on one and two OpenBLAS
     # threads; the CLI pins one, so both runs write the same bytes

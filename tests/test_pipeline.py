@@ -13,6 +13,7 @@ import pytest
 from helpers import DONE, write_synthetic_idx
 
 import qhybrid
+from qhybrid import pipeline
 from qhybrid.archive import load_archive
 from qhybrid.cli import EXIT_CHECK, EXIT_OK, main
 from qhybrid.config import ExperimentConfig, load_config
@@ -524,3 +525,50 @@ def test_records_without_results_rerun_once(make_config, tmp_path):
     run_pipeline(cfg, log=lines.append)
     assert set(_stage_status(lines).values()) == {"cached"}
     assert _tree(out_dir) == before
+
+
+def test_code_or_blas_kernel_change_reruns_every_stage(make_config, tmp_path, monkeypatch):
+    out_dir = tmp_path / "env"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    before = _tree(out_dir)
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert list(_stage_status(lines).values()) == ["cached"] * 8
+    kernel = pipeline.blas_core()
+    monkeypatch.setattr(pipeline, "blas_core", lambda: "OtherCore")
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {
+        f"running: numeric environment changed (blas {kernel} -> OtherCore)"}
+    monkeypatch.setattr(pipeline, "code_digest", lambda: "0" * 64)
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"running: code changed"}
+    records = json.loads(StagePaths(out_dir).manifest.read_text())
+    env = {"code": "0" * 64, "numpy": np.__version__, "blas": "OtherCore"}
+    assert [record["env"] for record in records.values()] == [env] * 8
+    monkeypatch.undo()
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"running: code changed"}
+    assert _tree(out_dir) == before  # the same code and kernel write the same bytes
+
+
+def test_records_without_env_rerun_once(make_config, tmp_path):
+    out_dir = tmp_path / "warm"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    paths = StagePaths(out_dir)
+    records = json.loads(paths.manifest.read_text())
+    for record in records.values():
+        del record["env"]
+    paths.manifest.write_text(json.dumps(records))
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"running: no record"}
+    package = hashlib.blake2b(digest_size=32)
+    for path in sorted(Path(qhybrid.__file__).parent.glob("*.py")):
+        package.update(path.name.encode() + b"\0" + path.read_bytes())
+    env = {"code": package.hexdigest(), "numpy": np.__version__, "blas": pipeline.blas_core()}
+    assert [r["env"] for r in json.loads(paths.manifest.read_text()).values()] == [env] * 8

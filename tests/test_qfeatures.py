@@ -1,7 +1,10 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
+from helpers import chi_square
 
 from qhybrid.qfeatures import (
     N_BLOCKS,
@@ -198,28 +201,80 @@ def test_sampled_matches_exact_within_binomial_bound():
     assert gaps.mean() < 0.01
 
 
-# sha256 of the sampled features' bytes, recorded from the per-row
-# implementation that preceded chunked sampling: (layout, rows, shots) -> digest
+def _exact_count_law(probs, shots, layout):
+    """{counts: probability} of ``shots`` draws from the 32-outcome law probs,
+    enumerated over every multiset of outcomes; marginal counts are the bit
+    counts of the outcome histogram."""
+    bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
+    law = {}
+    for combo in itertools.combinations_with_replacement(range(32), shots):
+        counts = np.bincount(combo, minlength=32)
+        ways = math.factorial(shots) // math.prod(math.factorial(c) for c in counts)
+        key = tuple((counts if layout == "histogram" else counts @ bits).tolist())
+        law[key] = law.get(key, 0.0) + ways * math.prod(probs[list(combo)])
+    return law
+
+
+@pytest.mark.parametrize("layout", ["marginal", "histogram"])
+def test_sampled_counts_follow_the_exact_law_at_4_shots(layout):
+    # Every block of every row gets the same angles: x = 1.0 on qubit 4 is
+    # also the pad value, and unit stats leave the latents unscaled.
+    x = np.array([0.99, 0.9, 0.2, 0.1, 1.0])
+    rows, shots = 8000, 4
+    latents = np.tile(np.tile(x, N_BLOCKS)[:64], (rows, 1))
+    probs = block_probabilities(encode_angles(x), "histogram")
+    law = _exact_count_law(probs, shots, layout)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    feats = transform_features(latents, unit_stats(), mode="sampled", shots=shots, rng=Rng(44),
+                               layout=layout)
+    counts = np.rint(feats * shots).astype(np.int64).reshape(rows * N_BLOCKS, -1)
+    keys, observed = np.unique(counts, axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, keys.tolist()), observed.tolist()))
+    assert set(seen) <= set(law)  # no impossible count vector
+    chi2, bound = chi_square([seen.get(key, 0) for key in law],
+                             [prob * rows * N_BLOCKS for prob in law.values()])
+    assert chi2 < bound, (chi2, bound)
+
+
+@pytest.mark.parametrize("layout", ["marginal", "histogram"])
+def test_sampled_row_depends_only_on_its_latents_and_index(layout, monkeypatch):
+    stats = ScalingStats.fit(Rng(2).uniform(40 * 64).reshape(40, 64) * 4.0 - 2.0)
+    latents = Rng(3).uniform(11 * 64).reshape(11, 64) * 4.0 - 2.0
+    kwargs = dict(mode="sampled", shots=256, rng=Rng(21), layout=layout)
+    whole = transform_features(latents, stats, **kwargs)  # one chunk
+    others = Rng(4).uniform(11 * 64).reshape(11, 64) * 4.0 - 2.0
+    others[6] = latents[6]
+    beside = transform_features(others, stats, **kwargs)
+    # 2000 values a chunk: 4 rows, so three chunks, the last one short
+    monkeypatch.setattr("qhybrid.qfeatures.CHUNK_VALUES", 2000)
+    chunked = transform_features(latents, stats, **kwargs)
+    assert chunked.tobytes() == whole.tobytes()
+    assert beside[6].tobytes() == whole[6].tobytes()
+    assert not np.array_equal(beside[5], whole[5])
+    assert transform_features(latents[:7], stats, **kwargs).tobytes() == whole[:7].tobytes()
+
+
+# sha256 of the sampled features' bytes, recorded from the binomial sampler
+# (marginal: 9 uniforms per block, histogram: 31): (layout, rows, shots) -> digest
 SAMPLED_DIGESTS = {
     ("marginal", 0, 1024): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("marginal", 1, 1024): "fafa9e1e9fb03653c41624f4182e68eebc77832084b899cc5c857353985a48a9",
-    ("marginal", 10, 1024): "cf3592ad97b972f40cfd66acf9776f396320977b616d8952c51fc51c9075032f",
-    ("marginal", 5, 4096): "bfe80b522c237f801b7fb012a28640739ea862c7bb3ad46eaa27f8a9f3a21d03",
-    ("marginal", 3, 1): "d47700b54d5c5708497b2a5733fe9eb89cd11001294a4a55f305c3a90f6ab263",
+    ("marginal", 1, 1024): "e0afbd36811e5129ec68de99acf185fa8e2a5c7d67caf2e90ba6593423527c37",
+    ("marginal", 10, 1024): "581696e1e3a55621242d62106d4bdd54e8565d6962b524e0ce65a2ee91c36cfe",
+    ("marginal", 5, 4096): "c03772376556d43cebda51c1461d06fa390483cad101ef4edf6133b3b2268bb1",
+    ("marginal", 3, 1): "6ffa8fedbacd7595d6530d0de8063f64c5bf0726ee9219e796b1423ef7ef6520",
     ("histogram", 0, 1024): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("histogram", 1, 1024): "59cc1af621d51362cfc7baa2dcb7cc4defca6267fbaa2d32738dfdeee2eb7757",
-    ("histogram", 10, 1024): "c4db83bf2fac72d91db8e42ca0f76e732d9d9278ae8831e9c94b21b10d85b759",
-    ("histogram", 5, 4096): "64329b4fd091dcd1f9cfea70db6e255c31572c1f6f23512fb1fc31bf5f6a23f7",
-    ("histogram", 3, 1): "869aca82e059a8dd04b50e780dc5457063baae7b30e9eea9297daa8f98ea4f24",
+    ("histogram", 1, 1024): "dfcaaed296a331de0b3f6c40a841e6132d3b383cfee5dae63d7098eebbcdc67f",
+    ("histogram", 10, 1024): "ba19d48e0e50f307b7e83e1082bfef22b63935a13615fd93c503cd77aa1876af",
+    ("histogram", 5, 4096): "4b93af404f3b29461fd24a51f8fff532e473dc0945ac0bf103dd258852c3919f",
+    ("histogram", 3, 1): "66e597da0a25a488b83422772ff01658a7c75abee20d9f1fd59882efea3d2c38",
 }
 
 
 @pytest.mark.parametrize("layout, n_rows, shots", list(SAMPLED_DIGESTS))
 def test_sampled_features_match_pinned_digests(layout, n_rows, shots):
-    # 10 rows at 1024 shots is one chunk and one row; 5 rows at 4096 shots
-    # is three chunks, the last one partial; 3 rows at 1 shot is one chunk
-    # too small for the lane path
-    assert CHUNK_VALUES // (N_BLOCKS * 1024) == 9 and CHUNK_VALUES // (N_BLOCKS * 4096) == 2
+    # every case is one chunk; below 512 draws a chunk (one or three
+    # marginal rows, one histogram row) they take the scalar path
+    assert CHUNK_VALUES // (N_BLOCKS * 32) == 315
     stats = ScalingStats.fit(Rng(2).uniform(40 * 64).reshape(40, 64) * 4.0 - 2.0)
     latents = Rng(3).uniform(n_rows * 64).reshape(n_rows, 64) * 4.0 - 2.0
     features = transform_features(latents, stats, mode="sampled", shots=shots, rng=Rng(21),

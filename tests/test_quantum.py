@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from helpers import chi_square
 
 from qhybrid.quantum import (
     CNOT,
@@ -8,6 +11,7 @@ from qhybrid.quantum import (
     QuantumState,
     Ry,
     apply_gate,
+    binomial,
     marginals,
     sample_from_probs,
     sample_indices,
@@ -228,75 +232,132 @@ def test_sampling_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def _chop_down(n, p, u):
+    """The documented search for one variate, term by term on Python floats:
+    (variate, whether both tails ran out). log, log1p and exp are numpy's, as
+    in the kernel; everything else is IEEE arithmetic in the kernel's order."""
+    if p >= 1.0:
+        return n, False
+    if n == 0 or p < np.finfo(np.float64).tiny:
+        return 0, False
+    m = min(math.floor((n + 1) * p), n)
+    log_fact = [math.lgamma(k + 1.0) for k in (n, m, n - m)]
+    f = float(np.exp(log_fact[0] - log_fact[1] - log_fact[2]
+                     + m * np.log(p) + (n - m) * np.log1p(-p)))
+    u -= f
+    if u < 0.0:
+        return m, False
+    odds = p / (1.0 - p)
+    f_hi = f_lo = f
+    j = 0
+    while f_hi > 0.0 or f_lo > 0.0:
+        j += 1
+        f_hi *= (n - m - (j - 1)) / (m + j) * odds
+        u -= f_hi
+        if u < 0.0:
+            return m + j, False
+        f_lo *= (m - (j - 1)) / (n - m + j) / odds
+        u -= f_lo
+        if u < 0.0:
+            return m - j, False
+    return m, True
+
+
+def test_binomial_follows_the_documented_search():
+    gen = np.random.default_rng(31)
+    n = gen.integers(0, 300, 4000)
+    p = gen.random(4000) ** gen.integers(1, 6, 4000)  # many small p
+    u = gen.random(4000)
+    p[::7], p[::11], n[::13], u[::17] = 0.0, 1.0, 0, 0.0
+    got = binomial(n, p, u)
+    assert got.shape == (4000,) and got.dtype == np.int64
+    expected = [_chop_down(int(a), float(b), float(c))[0] for a, b, c in zip(n, p, u)]
+    assert np.array_equal(got, expected)
+
+
+def test_binomial_edge_cases():
+    u = Rng(3).uniform(6)
+    assert np.array_equal(binomial(7, np.zeros(6), u), np.zeros(6))
+    assert np.array_equal(binomial(7, np.ones(6), u), np.full(6, 7))
+    assert np.array_equal(binomial(0, np.full(6, 0.4), u), np.zeros(6))
+    assert np.array_equal(binomial(1024, np.full(6, 1e-310), u), np.zeros(6))  # subnormal p
+    assert binomial(np.arange(4).reshape(2, 2), 0.5, 0.0).shape == (2, 2)
+    assert np.array_equal(binomial(np.array([9, 10]), 0.5, 0.0), [5, 5])  # u = 0: the mode
+
+
+def test_binomial_falls_back_to_the_mode_when_both_tails_run_out():
+    top = 1.0 - 2.0**-53  # the largest draw
+    cases = [(n, p) for n in range(4, 16) for p in (0.3, 0.4, 0.5, 0.6)
+             if _chop_down(n, p, top)[1]]
+    assert cases  # the rounded terms add up to less than the draw in many of them
+    n, p = np.array(cases).T
+    modes = np.minimum(np.floor((n + 1) * p), n)
+    assert 0 < modes.min() and np.all(modes < n)  # the mode, not a tail's last term
+    assert np.array_equal(binomial(n.astype(np.int64), p, np.full(len(cases), top)), modes)
+
+
+@pytest.mark.parametrize("n, p", [(1024, 0.5), (1024, 0.003), (1024, 0.97), (7, 0.3), (4, 0.9)])
+def test_binomial_law_chi_square(n, p):
+    draws = 40_000
+    counts = np.bincount(binomial(n, p, Rng(n + int(p * 1000)).uniform(draws)), minlength=n + 1)
+    expected = np.array([math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)])
+    chi2, bound = chi_square(counts, expected * draws)
+    assert chi2 < bound, (chi2, bound)
+
+
+def _one_qubit_probs(gen, shape):
+    probs = gen.random(shape)
+    probs[..., 1] = 0.0  # qubit 1 never 1
+    probs[..., 2] = 1.0  # qubit 2 always 1
+    return probs
+
+
 def test_stacked_sampling_matches_per_block_calls():
-    gen = np.random.default_rng(6)
-    probs = np.stack([simulate(random_circuit(gen, 5, 8)).probabilities() for _ in range(13)])
-    stacked_rng, loop_rng = Rng(12), Rng(12)
-    stacked = sample_from_probs(probs, stacked_rng.uniform(13 * 1024).reshape(13, 1024))
-    expected = np.stack([_counts(p, loop_rng.uniform(1024)) for p in probs])
-    assert stacked.shape == probs.shape
-    assert np.array_equal(stacked, expected)
-    assert np.array_equal(stacked_rng._state, loop_rng._state)
+    probs = _one_qubit_probs(np.random.default_rng(6), (13, 5))
+    for layout, draws in (("marginal", 9), ("histogram", 31)):
+        stacked_rng, loop_rng = Rng(12), Rng(12)
+        stacked = sample_from_probs(probs, stacked_rng.uniform(13 * draws).reshape(13, draws),
+                                    1024, layout)
+        expected = np.stack([sample_from_probs(q, loop_rng.uniform(draws), 1024, layout)
+                             for q in probs])
+        assert stacked.shape == (13, 5 if layout == "marginal" else 32)
+        assert np.array_equal(stacked, expected)
+        assert np.array_equal(stacked_rng._state, loop_rng._state)
 
 
-def _clamped_searchsorted(probs, u):
-    cdf = np.cumsum(probs)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-
-
-def _counts(probs, u):
-    """The outcome histogram of per-draw inverse-CDF indices."""
-    return np.bincount(_clamped_searchsorted(probs, u), minlength=len(probs))
-
-
-@pytest.mark.parametrize("outcomes", [1, 2, 3, 5, 32, 33])
-def test_stream_stack_matches_one_call_per_row(outcomes):
-    gen = np.random.default_rng(outcomes)
-    probs = gen.random((4, 3, outcomes))
-    probs[:, :, 1::3] = 0.0  # repeated cdf values
-    probs /= probs.sum(axis=-1, keepdims=True)
-    probs[0, 0] *= 0.9  # a cdf that ends below some draws: the clamp
-    streams = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
-    alone = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
-    got = sample_from_probs(probs, uniform_streams(streams, 3 * 200).reshape(4, 3, 200))
-    assert got.shape == probs.shape
-    for row, p, stream, single in zip(got, probs, streams, alone):
-        u = single.uniform(3 * 200).reshape(3, 200)
-        expected = [_counts(block, draws) for block, draws in zip(p, u)]
-        assert np.array_equal(row, expected)
-        assert np.array_equal(stream._state, single._state)
-
-
-def test_counts_equal_histogram_of_per_draw_indices():
-    gen = np.random.default_rng(21)
-    for case in range(200):
-        outcomes = [1, 2, 32, int(gen.integers(1, 40))][case % 4]
-        shots = [1, 2, int(gen.integers(1, 300))][case % 3]
-        blocks = int(gen.integers(1, 4))
-        # dyadic probabilities: every cdf value is exact and a possible draw k * 2^-53
-        weights = gen.integers(0, 4, size=(blocks, outcomes)).astype(float)
-        weights[weights.sum(axis=1) == 0, 0] = 1.0
-        scale = 2.0 ** -np.ceil(np.log2(weights.sum(axis=1, keepdims=True)))
-        probs = weights * scale  # zero-probability outcomes, cdfs that end at or below 1
-        cdf = np.cumsum(probs, axis=1)
-        near = np.concatenate([cdf - 2.0**-53, cdf, cdf + 2.0**-53], axis=1)
-        pool = np.concatenate([near[(near >= 0.0) & (near < 1.0)], [0.0, 1.0 - 2.0**-53],
-                               gen.random(8)])
-        draws = gen.choice(pool, size=(blocks, shots))  # so a draw can sit on a cdf value
-        assert np.all(draws == np.floor(draws * 2.0**53) * 2.0**-53)
-        given = draws.copy()
-        got = sample_from_probs(probs, given)
-        assert np.array_equal(given, np.sort(draws, axis=1))  # sorted in place
-        expected = np.stack([_counts(p, u) for p, u in zip(probs, draws)])
-        assert got.shape == probs.shape and got.dtype.kind == "i"
-        assert np.array_equal(got, expected), case
+@pytest.mark.parametrize("shots", [1, 2, 3, 5, 32, 33])
+def test_stream_stack_matches_one_call_per_row(shots):
+    probs = _one_qubit_probs(np.random.default_rng(shots), (4, 3, 5))
+    for layout, draws in (("marginal", 9), ("histogram", 31)):
+        streams = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
+        alone = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
+        u = uniform_streams(streams, 3 * draws).reshape(4, 3, draws)
+        got = sample_from_probs(probs, u, shots, layout)
+        for row, q, stream, single in zip(got, probs, streams, alone):
+            expected = sample_from_probs(q, single.uniform(3 * draws).reshape(3, draws), shots,
+                                         layout)
+            assert np.array_equal(row, expected)
+            assert np.array_equal(stream._state, single._state)
+        if layout == "histogram":
+            assert np.all(got.sum(axis=-1) == shots)
+            bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
+            assert np.all(got[..., bits[:, 1] == 1] == 0)  # qubit 1 is never 1 ...
+            assert np.all(got[..., bits[:, 2] == 0] == 0)  # ... and qubit 2 always
+        else:
+            assert np.all((got >= 0) & (got <= shots))
+            assert np.array_equal(got[..., 1], got[..., 0])  # qubit 1 flips no parity
+            assert np.array_equal(got[..., 2], shots - got[..., 1])  # qubit 2 flips every one
 
 
 def test_draws_need_the_leading_shape_of_probs_and_a_shot():
-    probs = np.full((2, 13, 32), 1 / 32)
-    for shape in [(1, 13, 8), (2, 8), (26, 8), (2, 13), (2, 13, 0)]:
-        with pytest.raises(ValueError, match="need draws of shape"):
-            sample_from_probs(probs, np.zeros(shape))
+    probs = np.full((2, 13, 5), 0.5)
+    for layout, shape in [("marginal", (2, 13, 31)), ("marginal", (13, 9)),
+                          ("marginal", (2, 13)), ("histogram", (2, 13, 9)),
+                          ("histogram", (1, 13, 31)), ("histogram", (2, 13, 0))]:
+        with pytest.raises(ValueError, match="need .* draws of shape"):
+            sample_from_probs(probs, np.zeros(shape), 1024, layout)
+    with pytest.raises(ValueError, match="shots >= 1"):
+        sample_from_probs(probs, np.zeros((2, 13, 9)), 0, "marginal")
 
 
 def test_zero_shots_rejected():

@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qhybrid"
 ORACLES = {
     "simulate": "statevector simulator: the oracle for the closed-form block probabilities",
     "marginals": "per-qubit p(1) of a simulated state, compared with the closed form",
-    "sample_indices": "per-draw inverse CDF, the reference for sample_from_probs's counts",
+    "sample_indices": "per-shot inverse CDF, the law whose counts sample_from_probs draws",
     "build_block_circuit": "the block as a gate list, for the simulator to run",
     "norm_sq": "statevector norm, checked to stay 1 after every gate",
     "read_csv": "reads back the CSV artifacts that write_csv writes",
