@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .qfeatures import LAYOUTS, MODES
+from .qfeatures import LAYOUTS, MAX_SHOTS, MODES
 
 
 class ConfigError(Exception):
@@ -103,9 +103,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in ("ae_epochs", "clf_epochs", "train_subset", "augment_copies"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
-    for key, least in (("ae_batch", 1), ("clf_batch", 2), ("shots", 1), ("lr_step", 1)):
+    for key, least in (("ae_batch", 1), ("clf_batch", 2), ("lr_step", 1)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
+    if not 1 <= cfg.shots <= MAX_SHOTS:
+        raise ConfigError(f"shots must be in [1, {MAX_SHOTS}], got {cfg.shots}")
     if not 0.0 <= cfg.clf_dropout < 1.0:
         raise ConfigError(f"clf_dropout must be in [0, 1), got {cfg.clf_dropout}")
     if not 0.0 < cfg.lr_factor <= 1.0:

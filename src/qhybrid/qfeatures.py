@@ -24,10 +24,11 @@ chain of binomials, which ``sample_from_probs`` draws exactly with one
 uniform each: 9 per block for the marginal layout (the counts of 1 on each
 qubit after the chain) and 31 for the histogram layout (the 32 outcome
 counts, permuted by the chain as ``block_probabilities`` permutes the
-probabilities). Row i draws its 13 blocks' uniforms, block after block, from
-its own child stream ``rng.split(f"sample/{i}")``, so a row's features do
-not depend on which other rows are transformed with it; each chunk takes
-them in one ``uniform_streams`` call over its rows' streams.
+probabilities). Each call derives one child stream ``rng.split("sample")``
+and row i reads its 13 blocks' uniforms, block after block, from the fixed
+slice [13 d i, 13 d (i + 1)) of it, d being the draws per block; each chunk
+takes its rows' slices in one ``Rng.uniform`` call. Every row draws the same
+count, so a row's features depend only on its latents and its index.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import CNOT, Circuit, H, Ry, sample_from_probs
-from .rng import Rng, uniform_streams
+from .rng import Rng
 
 LATENT_WIDTH = 64
 BLOCK_SIZE = 5
@@ -53,6 +54,9 @@ PAD_VALUE = 1.0
 CHUNK_VALUES = 1 << 17
 
 MODES = ("exact", "sampled")
+# Most shots a sampled block takes. The binomial's cached log-factorial table
+# holds up to twice as many doubles: 16 MB at 2^20 shots.
+MAX_SHOTS = 2**20
 LAYOUTS = ("marginal", "histogram")
 
 
@@ -142,9 +146,10 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
     layout="histogram" emits the full 32-bin outcome distribution per block
     (416 total). mode="exact" emits the closed-form probabilities directly;
     mode="sampled" emits outcome counts / shots of ``shots`` measurements
-    per block: row i draws 13 * 9 (marginal) or 13 * 31 (histogram)
-    uniforms, block after block, from its own child stream
-    ``rng.split(f"sample/{i}")``, so results are order-independent.
+    per block, 1 <= shots <= ``MAX_SHOTS``: row i takes the i-th run of
+    13 * 9 (marginal) or 13 * 31 (histogram) uniforms of the child stream
+    ``rng.split("sample")``, block after block, so a row's features do not
+    depend on the rows beside it; ``rng`` itself does not advance.
     """
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[1] != LATENT_WIDTH:
@@ -158,8 +163,9 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
     if mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode requires an rng")
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+        stream = rng.split("sample")
 
     n = latents.shape[0]
     per_block = BLOCK_SIZE if layout == "marginal" else 2**BLOCK_SIZE
@@ -172,8 +178,7 @@ def transform_features(latents: np.ndarray, stats: ScalingStats, *, mode: str = 
         if mode == "exact":
             features[start:stop] = block_probabilities(thetas, layout).reshape(stop - start, -1)
             continue
-        children = [rng.split(f"sample/{i}") for i in range(start, stop)]
-        u = uniform_streams(children, N_BLOCKS * draws).reshape(stop - start, N_BLOCKS, draws)
+        u = stream.uniform((stop - start) * N_BLOCKS * draws).reshape(-1, N_BLOCKS, draws)
         # q_k, the p(1) of qubit k before the chain, as in block_probabilities
         counts = sample_from_probs((1.0 - np.sin(thetas)) / 2.0, u, shots, layout)
         if layout == "histogram":

@@ -155,7 +155,7 @@ def marginals(state: QuantumState) -> np.ndarray:
 def _log_factorials(size: int) -> np.ndarray:
     """log k! for k < size, read-only. binomial asks for powers of two, so
     the tables a process keeps add up to less than four entries per shot."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table = np.fromiter((math.lgamma(k + 1.0) for k in range(size)), dtype=np.float64, count=size)
     table.flags.writeable = False
     return table
 

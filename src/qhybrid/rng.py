@@ -7,12 +7,10 @@ byte for a given OpenBLAS kernel; the pipeline runs BLAS on one thread, so
 the thread count does not matter. A raw 64-bit output word w gives the float
 ``(w >> 11) * 2**-53``, uniform in [0, 1).
 
-Every draw goes through one door, :func:`uniform_streams`, which takes a
-stack of R streams and n, and returns n floats per stream; :meth:`Rng.uniform`
-is its R = 1 case. It checks the count once and converts the words to
-floats once; each stream's state advances in place. The raw words come from
-one of two paths, chosen by the call's total R * n; both yield the identical
-stream and leave the identical state behind.
+Every draw goes through one door, :meth:`Rng.uniform`. It checks the count
+once and converts the words to floats once; the stream's state advances in
+place. The raw words come from one of two paths, chosen by the count; both
+yield the identical stream and leave the identical state behind.
 
 * The scalar path (:func:`_scalar_words`) steps the generator one word at a
   time on Python integers. Calls below ``_LANE_MIN`` draws use it, where
@@ -20,17 +18,16 @@ stream and leave the identical state behind.
   reference.
 * The lane path (:func:`_lane_words`) serves larger calls. The xoshiro256++
   state transition T is linear over GF(2), so T^m is a 256x256 bit matrix
-  (Blackman & Vigna, arXiv:1805.01407). The path cuts each stream's n draws
-  into L lanes of C = 2^k consecutive steps, with C taken from R * n, moves
-  lane j to T^(jC) s with cached jump tables T^(2^b), then steps all R * L
-  lanes together with uint64 array operations. Read lane after lane, each
-  row's outputs are its sequential stream.
+  (Blackman & Vigna, arXiv:1805.01407). The path cuts the n draws into L
+  lanes of C = 2^k consecutive steps, with C taken from n, moves lane j to
+  T^(jC) s with cached jump tables T^(2^b), then steps all L lanes together
+  with uint64 array operations. Read lane after lane, the outputs are the
+  sequential stream.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -148,59 +145,33 @@ def _lane_steps(n: int) -> int:
     return 1 << max(n.bit_length() // 2 - 1, 0)
 
 
-def _lane_words(states: np.ndarray, n: int) -> np.ndarray:
-    """The next n raw output words of each of R stacked (R, 4) states, as an
-    (R, n) array, computed in lanes together; advances every state by n."""
-    n_rows = len(states)
-    steps = _lane_steps(n_rows * n)
-    n_lanes = -(-n // steps)  # per row
-    starts = states  # lane after lane, each lane one state per row
+def _lane_words(state: np.ndarray, n: int) -> np.ndarray:
+    """The next n raw output words of a (4,) state, computed in lanes
+    together; advances the state by n."""
+    steps = _lane_steps(n)
+    n_lanes = -(-n // steps)
+    starts = state[None, :]
     b = steps.bit_length() - 1
-    while len(starts) < n_lanes * n_rows:
+    while len(starts) < n_lanes:
         # Lanes [m, 2m) start m * steps = 2^b draws after lanes [0, m).
-        starts = np.concatenate([starts, _jump(starts[: n_lanes * n_rows - len(starts)], b)])
+        starts = np.concatenate([starts, _jump(starts[: n_lanes - len(starts)], b)])
         b += 1
     s = starts.T.copy()
-    s0 = np.empty((steps, s.shape[1]), dtype=np.uint64)
+    s0 = np.empty((steps, n_lanes), dtype=np.uint64)
     s3 = np.empty_like(s0)
     last = n - (n_lanes - 1) * steps  # steps the last lane contributes
     for i in range(steps):
         s0[i] = s[0]
         s3[i] = s[3]
         _step_lanes(s)
-        if i + 1 == last:  # the last lane has made its draws: its state is each row's end
-            states[:] = s[:, -n_rows:].T
+        if i + 1 == last:  # the last lane has made its draws: its state is the end
+            state[:] = s[:, -1]
     words = s0 + s3
     rot = words >> 41
     words <<= 23
     words |= rot
     words += s0
-    # (steps, lanes, R) -> (R, lanes, steps): read lane after lane, each row is its stream
-    return words.reshape(steps, n_lanes, n_rows).transpose(2, 1, 0).reshape(n_rows, -1)[:, :n]
-
-
-def _words(states: list[np.ndarray], n: int) -> np.ndarray:
-    """The next n raw output words of each of R states, as an (R, n) array;
-    advances every state by n. Below ``_LANE_MIN`` draws in all the states
-    step one after another on the scalar path, otherwise together in lanes."""
-    if len(states) * n < _LANE_MIN:
-        words = [_scalar_words(state, n) for state in states]
-        return np.array(words, dtype=np.uint64).reshape(len(states), n)
-    stack = np.array(states)
-    words = _lane_words(stack, n)
-    for state, end in zip(states, stack):
-        state[:] = end
-    return words
-
-
-def uniform_streams(rngs: Sequence[Rng], n: int) -> np.ndarray:
-    """Row i holds the next n floats of stream ``rngs[i]``, drawn for all
-    streams together; each stream advances by exactly n draws. Every draw of
-    the package comes through here: ``Rng.uniform`` is the one-stream case."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"draw count must be >= 0, got {n}")
-    return (_words([rng._state for rng in rngs], n) >> 11) * _FLOAT_SCALE
+    return words.T.reshape(-1)[:n]  # read lane after lane: the sequential stream
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -215,9 +186,9 @@ class Rng:
     """A single xoshiro256++ stream.
 
     Single-owner mutable: one consumer draws from one stream. Independent
-    streams for other consumers (threads, per-sample sampling) come from
-    :meth:`split`, which derives a child purely from (state, label) without
-    advancing this stream.
+    streams for other consumers (the stages, a transform's shot noise) come
+    from :meth:`split`, which derives a child purely from (state, label)
+    without advancing this stream.
     """
 
     __slots__ = ("_state",)
@@ -227,7 +198,11 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """n float64 values in [0, 1); advances the stream by exactly n draws."""
-        return uniform_streams([self], n)[0]
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"draw count must be >= 0, got {n}")
+        words = _scalar_words if n < _LANE_MIN else _lane_words
+        return (words(self._state, n) >> 11) * _FLOAT_SCALE
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), consuming n-1 draws."""

@@ -64,6 +64,7 @@ def test_bad_config_key_is_exit_2(tmp_path, capsys):
     ("ae_lr", -0.001),
     ("clf_lr", 0),
     ("clf_batch", 1),  # no batch of one row could be normalised
+    ("shots", 1048577),  # past MAX_SHOTS
     ("train_images", ""),
     ("train_images", "."),  # a directory
 ])

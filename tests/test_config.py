@@ -1,6 +1,7 @@
 import pytest
 
 from qhybrid.config import ConfigError, ExperimentConfig, load_config, parse_config, validate_config
+from qhybrid.qfeatures import MAX_SHOTS
 
 
 GOOD = """
@@ -67,6 +68,10 @@ def test_validation_ranges():
         validate_config(ExperimentConfig(augment_stage="decoder"))
     with pytest.raises(ConfigError, match="ae_batch"):
         validate_config(ExperimentConfig(ae_batch=0))
+    for shots in (0, MAX_SHOTS + 1):
+        with pytest.raises(ConfigError, match="shots"):
+            validate_config(ExperimentConfig(shots=shots))
+    validate_config(ExperimentConfig(shots=MAX_SHOTS))
     with pytest.raises(ConfigError, match="lr_factor"):
         validate_config(ExperimentConfig(lr_factor=0.0))
     with pytest.raises(ConfigError, match="quantum_layout"):

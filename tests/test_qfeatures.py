@@ -9,6 +9,7 @@ from helpers import chi_square
 from qhybrid.qfeatures import (
     N_BLOCKS,
     CHUNK_VALUES,
+    MAX_SHOTS,
     ScalingStats,
     block_angles,
     block_probabilities,
@@ -255,25 +256,28 @@ def test_sampled_row_depends_only_on_its_latents_and_index(layout, monkeypatch):
 
 
 # sha256 of the sampled features' bytes, recorded from the binomial sampler
-# (marginal: 9 uniforms per block, histogram: 31): (layout, rows, shots) -> digest
+# (marginal: 9 uniforms per block, histogram: 31) with the rows' uniforms taken
+# as consecutive slices of one stream: (layout, rows, shots) -> digest
 SAMPLED_DIGESTS = {
     ("marginal", 0, 1024): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("marginal", 1, 1024): "e0afbd36811e5129ec68de99acf185fa8e2a5c7d67caf2e90ba6593423527c37",
-    ("marginal", 10, 1024): "581696e1e3a55621242d62106d4bdd54e8565d6962b524e0ce65a2ee91c36cfe",
-    ("marginal", 5, 4096): "c03772376556d43cebda51c1461d06fa390483cad101ef4edf6133b3b2268bb1",
-    ("marginal", 3, 1): "6ffa8fedbacd7595d6530d0de8063f64c5bf0726ee9219e796b1423ef7ef6520",
+    ("marginal", 1, 1024): "947e7378d4cc5859a070dc43b3998f9e82bd56a7c0c578062e1af959cc3b2ca2",
+    ("marginal", 10, 1024): "10331019d0b27131315f86d2ed96812f43570bdc22599c283f5c90601f04f8eb",
+    ("marginal", 5, 4096): "c3852c19b01178718e3f623fdeac866727c8be72c98f0099db138e34a7500b6d",
+    ("marginal", 3, 1): "d9faaabd4c30c9e05531453154e9f26886d51e115a0853e9e23ef297e0b477b3",
+    ("marginal", 700, 1024): "c8ffef6dc5438b578ada9bd58c709d261cae9ac5df474d84ec24523cc73f714f",
     ("histogram", 0, 1024): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("histogram", 1, 1024): "dfcaaed296a331de0b3f6c40a841e6132d3b383cfee5dae63d7098eebbcdc67f",
-    ("histogram", 10, 1024): "ba19d48e0e50f307b7e83e1082bfef22b63935a13615fd93c503cd77aa1876af",
-    ("histogram", 5, 4096): "4b93af404f3b29461fd24a51f8fff532e473dc0945ac0bf103dd258852c3919f",
-    ("histogram", 3, 1): "66e597da0a25a488b83422772ff01658a7c75abee20d9f1fd59882efea3d2c38",
+    ("histogram", 1, 1024): "83951b995e1faeaf631769f255decbd94b0b62f0d48a9153a1f3e6ab56ee8fc3",
+    ("histogram", 10, 1024): "4dcda2bf2214688114dc5d96813c159e05abcd5cbdb5dc0eb27048ca69a84117",
+    ("histogram", 5, 4096): "c4b3deb9dbb74951b4e961ca51559e70277795b9ee79619d824c7d2b1ddb5bae",
+    ("histogram", 3, 1): "c110a496d45ed27829f052610853b320c273b6c13ac9b0d39a11342052408e36",
+    ("histogram", 700, 1024): "c35ee120b78ddaa26d0a3a4c074d7e97718b95c0f3f475c3bd18e9404466fdbb",
 }
 
 
 @pytest.mark.parametrize("layout, n_rows, shots", list(SAMPLED_DIGESTS))
 def test_sampled_features_match_pinned_digests(layout, n_rows, shots):
-    # every case is one chunk; below 512 draws a chunk (one or three
-    # marginal rows, one histogram row) they take the scalar path
+    # 700 rows are three chunks (315, 315, 70), the rest one; below 512 draws
+    # a chunk (one or three marginal rows, one histogram row) take the scalar path
     assert CHUNK_VALUES // (N_BLOCKS * 32) == 315
     stats = ScalingStats.fit(Rng(2).uniform(40 * 64).reshape(40, 64) * 4.0 - 2.0)
     latents = Rng(3).uniform(n_rows * 64).reshape(n_rows, 64) * 4.0 - 2.0
@@ -294,5 +298,6 @@ def test_transform_validation():
         transform_features(latents, stats, mode="sampled")
     with pytest.raises(ValueError, match="mode"):
         transform_features(latents, stats, mode="noisy")
-    with pytest.raises(ValueError, match="shots"):
-        transform_features(latents, stats, mode="sampled", shots=0, rng=Rng(0))
+    for shots in (0, MAX_SHOTS + 1):
+        with pytest.raises(ValueError, match="shots"):
+            transform_features(latents, stats, mode="sampled", shots=shots, rng=Rng(0))

@@ -17,7 +17,7 @@ from qhybrid.quantum import (
     sample_indices,
     simulate,
 )
-from qhybrid.rng import Rng, uniform_streams
+from qhybrid.rng import Rng
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -328,16 +328,16 @@ def test_stacked_sampling_matches_per_block_calls():
 @pytest.mark.parametrize("shots", [1, 2, 3, 5, 32, 33])
 def test_stream_stack_matches_one_call_per_row(shots):
     probs = _one_qubit_probs(np.random.default_rng(shots), (4, 3, 5))
+    # the rows' uniforms are consecutive slices of one stream, drawn in one call
     for layout, draws in (("marginal", 9), ("histogram", 31)):
-        streams = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
-        alone = [Rng(13).split(f"row/{i}") for i in range(len(probs))]
-        u = uniform_streams(streams, 3 * draws).reshape(4, 3, draws)
+        stream, single = Rng(13).split("rows"), Rng(13).split("rows")
+        u = stream.uniform(4 * 3 * draws).reshape(4, 3, draws)
         got = sample_from_probs(probs, u, shots, layout)
-        for row, q, stream, single in zip(got, probs, streams, alone):
+        for row, q in zip(got, probs):
             expected = sample_from_probs(q, single.uniform(3 * draws).reshape(3, draws), shots,
                                          layout)
             assert np.array_equal(row, expected)
-            assert np.array_equal(stream._state, single._state)
+        assert np.array_equal(stream._state, single._state)
         if layout == "histogram":
             assert np.all(got.sum(axis=-1) == shots)
             bits = (np.arange(32)[:, None] >> np.arange(5)) & 1

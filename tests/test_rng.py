@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from qhybrid.rng import (
-    _LANE_MIN,
-    Rng,
-    _jump,
-    _lane_steps,
-    _lane_words,
-    _scalar_words,
-    uniform_streams,
-)
+from qhybrid.rng import _LANE_MIN, Rng, _jump, _lane_steps, _scalar_words
 
 # First eight outputs per seed, frozen as regression fixtures.
 PINNED = {
@@ -47,6 +39,8 @@ def test_zero_draws_leaves_state_unchanged():
     assert np.array_equal(rng._state, before)
     # the next draw is the same as if uniform(0) never happened
     assert rng.uniform(1)[0] == PINNED[42][0]
+    with pytest.raises(ValueError, match="draw count"):
+        rng.uniform(-1)
 
 
 def test_split_differs_from_parent_stream():
@@ -82,9 +76,10 @@ def _scalar_uniform(state, n):
 
 
 # Sizes either side of the scalar/lane crossover, a whole number of lanes and
-# one draw past it, one sampled-mode row (13 blocks x 1024 shots), and the
-# 784x256 weight init.
-FALLBACK_SIZES = [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 4096, 4097, 13 * 1024, 784 * 256]
+# one draw past it, 13 * 1024 (208 whole lanes), the draw of one 315-row
+# sampled chunk (13 blocks x 9 uniforms, and x 31), and the 784x256 weight init.
+FALLBACK_SIZES = [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 4096, 4097, 13 * 1024,
+                  315 * 13 * 9, 315 * 13 * 31, 784 * 256]
 
 
 @pytest.mark.parametrize("n", FALLBACK_SIZES)
@@ -105,36 +100,6 @@ def test_mixed_call_sizes_continue_one_stream():
     slow = Rng(77)
     assert np.array_equal(got, _scalar_uniform(slow._state, sum(sizes)))
     assert np.array_equal(rng._state, slow._state)
-
-
-def _children(n_rows):
-    return [Rng(31).split(f"row/{i}") for i in range(n_rows)]
-
-
-@pytest.mark.parametrize("n", [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 13 * 1024])
-@pytest.mark.parametrize("n_rows", [1, 2, 3, 7])
-def test_multi_stream_lanes_match_each_stream(n_rows, n):
-    states = np.array([child._state for child in _children(n_rows)])
-    words = _lane_words(states, n)
-    assert words.shape == (n_rows, n)
-    for row, end, child, alone in zip(words, states, _children(n_rows), _children(n_rows)):
-        assert np.array_equal(row, _scalar_words(child._state, n))
-        assert np.array_equal((row >> 11) * 2.0**-53, alone.uniform(n))
-        assert np.array_equal(end, child._state)
-        assert np.array_equal(end, alone._state)
-
-
-@pytest.mark.parametrize("n", [0, 1, _LANE_MIN // 3, 13 * 1024])
-def test_uniform_streams_draws_as_each_stream_would(n):
-    streams, alone = _children(3), _children(3)
-    got = uniform_streams(streams, n)
-    assert got.shape == (3, n)
-    for row, stream, single in zip(got, streams, alone):
-        assert np.array_equal(row, single.uniform(n))
-        assert np.array_equal(stream._state, single._state)
-    assert uniform_streams([], n).shape == (0, n)
-    with pytest.raises(ValueError, match="draw count"):
-        uniform_streams(streams, -1)
 
 
 @pytest.mark.parametrize("b", range(7))

@@ -1,6 +1,4 @@
-import ctypes
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from qhybrid.losses import cross_entropy_loss, mse_loss
 from qhybrid.network import INFERENCE_BATCH, Network, make_autoencoder, make_classifier
 from qhybrid.layers import Dense, Dropout
 from qhybrid.optim import Adam
+from qhybrid.pipeline import blas_core
 from qhybrid.rng import Rng
 from qhybrid.train import MASK_CHUNK, evaluate, train
 
@@ -166,23 +165,12 @@ def _one_hot(rng, n, k):
     return y
 
 
-def _blas_core() -> str:
-    """The kernel family numpy's bundled OpenBLAS runs, for example SkylakeX."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
-    if not found:
-        return "unknown (no bundled OpenBLAS)"
-    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
-
 def _check_digests(net, rng, params_by_core, rng_state):
     h = hashlib.sha256()
     for name, arr in net.archive_entries():
         h.update(name.encode())
         h.update(arr.tobytes())
-    core, params = _blas_core(), h.hexdigest()
+    core, params = blas_core(), h.hexdigest()
     assert core in params_by_core, f"no parameter digest recorded for BLAS core {core}: {params}"
     assert params == params_by_core[core], f"BLAS core {core}"
     assert hashlib.sha256(rng._state.tobytes()).hexdigest() == rng_state
