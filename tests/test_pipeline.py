@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -410,24 +411,50 @@ import sys
 from qhybrid.cli import main
 code = main(["--config", sys.argv[1], "pipeline"])
 print("_hashlib" in sys.modules)
+print("qhybrid.quantum" in sys.modules)
 sys.exit(code)
 """
 
 
-def test_cli_run_loads_no_openssl_and_records_blake2b_digests(make_config, synth_data, tmp_path):
-    # hashlib would load _hashlib and map OpenSSL's libcrypto into the run
+@pytest.mark.parametrize("quantum_mode", ["exact", "sampled"])
+def test_cli_run_loads_no_openssl_and_records_blake2b_digests(make_config, synth_data, tmp_path,
+                                                              quantum_mode):
+    # hashlib would load _hashlib and map OpenSSL's libcrypto into the run;
+    # the statevector oracle in qhybrid.quantum is test code, and no run loads it
     out_dir = tmp_path / "no-openssl"
-    cfg = make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1)
+    cfg = make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1, quantum_mode=quantum_mode)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(qhybrid.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", RUN_CLI, str(cfg)], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
     records = json.loads(StagePaths(out_dir).manifest.read_text()).values()
     inputs = {key: digest for record in records for key, digest in record["inputs"].items()}
     assert inputs == {key: hashlib.blake2b(Path(path).read_bytes(), digest_size=32).hexdigest()
                       for key, path in synth_data.items()}
+
+
+def test_one_blas_thread_restores_the_previous_thread_count():
+    blas = pipeline._openblas()
+    if blas is None:
+        pytest.skip("numpy ships without a bundled OpenBLAS")
+    get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    try:
+        put(2)
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("raised inside the block")
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_failed_stage_leaves_no_temp_file_and_no_key(make_config, tmp_path, monkeypatch):
