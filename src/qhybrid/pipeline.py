@@ -109,13 +109,22 @@ def _augment_spec(cfg: ExperimentConfig) -> AugmentSpec:
     )
 
 
+def _augments(cfg, kind: str) -> bool:
+    """Whether the stage named ``kind`` augments; only train-ae and encode can."""
+    if not cfg.augment:
+        return False
+    if kind == "train-ae":
+        return cfg.augment_stage in ("ae", "both")
+    return kind == "encode" and cfg.augment_stage in ("clf", "both") and cfg.augment_copies > 0
+
+
 def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths,
                    splits: dict[str, RawDataset]) -> dict:
     rng = Rng(cfg.seed).split("train-ae")
     x_val = PixelRows(splits["val"].images)
     train_images = splits["train"].images
     ae = make_autoencoder(rng.split("init"))
-    if cfg.augment and cfg.augment_stage in ("ae", "both"):
+    if _augments(cfg, "train-ae"):
         spec = _augment_spec(cfg)
 
         def x_train(epoch: int) -> PixelRows:
@@ -164,7 +173,7 @@ def stage_encode(cfg: ExperimentConfig, paths: StagePaths,
     hands them over; each split's pixels, and the augmented stack built from
     the train pixels, are freed as soon as their latents exist."""
     ae = Autoencoder.load(paths.ae_model)
-    copies = cfg.augment_copies if cfg.augment and cfg.augment_stage in ("clf", "both") else 0
+    copies = cfg.augment_copies if _augments(cfg, "encode") else 0
     entries, counts = [], {}
     for split in SPLITS:
         data = splits.pop(split)
@@ -204,27 +213,20 @@ def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
     save_archive(out, paths.qfeatures)
 
 
-def _features_for(which: str, paths: StagePaths):
-    if which == "latent":
-        entries = dict(load_archive(paths.latents))
-        key = "latents"
-    elif which == "quantum":
-        entries = dict(load_archive(paths.qfeatures))
-        key = "qfeat"
-    else:
-        raise ValueError(f"feature set must be latent or quantum, got {which!r}")
-    sets = {}
-    for split in SPLITS:
-        x = entries[f"{key}/{split}"]
-        y = one_hot(entries[f"labels/{split}"].astype(np.int64))
-        sets[split] = (x, y)
-    return sets
+_FEATURE_ARCHIVES = {"latent": (lambda p: p.latents, "latents"),
+                     "quantum": (lambda p: p.qfeatures, "qfeat")}
+
+
+def _features_for(which: str, paths: StagePaths, splits: tuple[str, ...]):
+    """(features, one-hot labels) of each named split of feature set ``which``."""
+    archive, key = _FEATURE_ARCHIVES[which]
+    entries = dict(load_archive(archive(paths)))
+    return [(entries[f"{key}/{split}"], one_hot(entries[f"labels/{split}"].astype(np.int64)))
+            for split in splits]
 
 
 def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dict:
-    sets = _features_for(which, paths)
-    x_train, y_train = sets["train"]
-    x_val, y_val = sets["val"]
+    (x_train, y_train), (x_val, y_val) = _features_for(which, paths, ("train", "val"))
     if len(x_train) != len(y_train):
         raise StageError(f"feature/label count mismatch: {len(x_train)} vs {len(y_train)}")
     rng = Rng(cfg.seed).split(f"train-clf/{which}")
@@ -248,8 +250,7 @@ def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dic
 
 
 def stage_eval(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dict:
-    sets = _features_for(which, paths)
-    x_test, y_test = sets["test"]
+    [(x_test, y_test)] = _features_for(which, paths, ("test",))
     net = Network.load(paths.clf_model[which])
     report = evaluate_classifier(net, x_test, y_test)
     write_confusion_csv(paths.eval_confusion_csv[which], report.confusion)
@@ -408,12 +409,14 @@ class PipelineRun:
             require_data(self.cfg)
             self._digests = {key: _file_digest(getattr(self.cfg, key)) for key in PATH_KEYS}
         # A data file is keyed on its bytes only, so the same files in
-        # another directory match. The JSON round trip makes the record
+        # another directory match; a stage that does not augment keys its
+        # augmentation fields as null. The JSON round trip makes the record
         # compare equal to its copy read back from stages.json (tuples
         # become lists).
+        idle = () if _augments(self.cfg, stage.name) else (*_AUGMENT_FIELDS, "augment_copies")
         record = json.loads(json.dumps({
-            "reads": {field: getattr(self.cfg, field) for field in stage.reads
-                      if field not in PATH_KEYS},
+            "reads": {field: None if field in idle else getattr(self.cfg, field)
+                      for field in stage.reads if field not in PATH_KEYS},
             "inputs": {field: self._digests[field] for field in data_files},
             "deps": {dep: self.records.get(dep, {}).get("key") for dep in stage.deps},
         }))

@@ -186,9 +186,9 @@ class Rng:
     """A single xoshiro256++ stream.
 
     Single-owner mutable: one consumer draws from one stream. Independent
-    streams for other consumers (the stages, a transform's shot noise) come
-    from :meth:`split`, which derives a child purely from (state, label)
-    without advancing this stream.
+    streams for other consumers (the stages, a training run's Dropout
+    masks, a transform's shot noise) come from :meth:`split`, which derives
+    a child purely from (state, label) without advancing this stream.
     """
 
     __slots__ = ("_state",)

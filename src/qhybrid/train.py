@@ -1,8 +1,9 @@
 """Mini-batch training loop with per-epoch history.
 
-After its shuffle permutation, an epoch draws from the loop rng only Dropout
-masks, in batch and then layer order, so the masks come from a few
-``MASK_CHUNK``-draw calls sliced per mask: the same stream, far fewer calls.
+The loop rng gives only the shuffle permutations. Dropout masks come from
+its child ``rng.split("dropout")``, one stream for the whole ``train`` call,
+in a few ``MASK_CHUNK``-draw calls sliced per mask: the stream one call per
+mask would draw, in far fewer calls.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import batch_iter
-from .layers import Dropout
 from .losses import cross_entropy_in_place, cross_entropy_loss, mse_in_place, mse_loss
 from .network import Network
 from .optim import Adam, lr_schedule
@@ -56,18 +56,17 @@ def evaluate(net: Network, x, y: np.ndarray | None, loss_fn) -> tuple[float, np.
 
 
 class _MaskDraws:
-    """Serves Dropout's ``uniform(k)`` calls from ``total`` draws of ``rng``,
-    drawn lazily in calls of at most ``MASK_CHUNK``."""
+    """Serves Dropout's ``uniform(k)`` calls from ``rng``, drawn in calls of
+    ``MASK_CHUNK``; the draws of the last chunk that no mask took are dropped."""
 
-    def __init__(self, rng: Rng, total: int):
-        self._chunks = (rng.uniform(min(MASK_CHUNK, total - i))
-                        for i in range(0, total, MASK_CHUNK))
+    def __init__(self, rng: Rng):
+        self._rng = rng
         self._buf = np.empty(0)
 
     def uniform(self, k: int) -> np.ndarray:
         out, self._buf = self._buf[:k], self._buf[k:]
         while len(out) < k:
-            chunk = next(self._chunks)
+            chunk = self._rng.uniform(MASK_CHUNK)
             out, self._buf = np.concatenate([out, chunk[: k - len(out)]]), chunk[k - len(out) :]
         return out
 
@@ -89,19 +88,15 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
     loss_fn = cross_entropy_loss if classify else mse_loss
     alpha0 = adam.alpha
     history: list[EpochRecord] = []
+    masks = _MaskDraws(rng.split("dropout"))
     for epoch in range(epochs):
         x_epoch = x(epoch) if callable(x) else x
         if len(x_epoch) == 0:
             raise ValueError("training dataset is empty")
         if lr_step:
             adam.alpha = lr_schedule(alpha0, epoch, lr_step, lr_factor)
-        width, mask_width = x_epoch.shape[1], 0  # per row: widths into Dropout with p > 0
-        for layer in net.layers:
-            mask_width += width if isinstance(layer, Dropout) and layer.p > 0.0 else 0
-            width = layer.out_width or width
         net.train()
         loss_sum, acc_sum = 0.0, 0.0
-        masks = _MaskDraws(rng, len(x_epoch) * mask_width)
         for xb, yb in batch_iter(x_epoch, y, batch_size, rng):
             out = net.forward(xb, rng=masks)
             loss, grad = loss_fn(yb, out)

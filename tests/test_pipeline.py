@@ -406,6 +406,39 @@ def test_same_data_in_another_directory_is_cached(make_config, synth_data, tmp_p
     assert _tree(out_dir) == before
 
 
+OTHER_AUGMENTATION = {"rotate_max_deg": 25.0, "shift_max_px": 4, "hflip": "true",
+                      "augment_prob": 0.9, "augment_stage": "both", "augment_copies": 3}
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"augment": "false"}, {"augment": "false", **OTHER_AUGMENTATION}),
+    ({"augment": "true", "augment_stage": "ae"},
+     {"augment": "true", "augment_stage": "ae", "augment_copies": 3}),
+])
+def test_augmentation_settings_of_a_stage_that_does_not_augment_keep_it_cached(
+        make_config, tmp_path, first, second):
+    settings = {"ae_epochs": 1, "clf_epochs": 1, "out_dir": tmp_path / "warm"}
+    run_pipeline(load_config(make_config(**settings, **first)), log=_quiet)
+    lines = []
+    run_pipeline(load_config(make_config(**settings, **second)), log=lines.append)
+    assert list(_stage_status(lines).values()) == ["cached"] * 8
+
+
+def test_turning_augmentation_off_reruns_the_augmenting_stage(make_config, tmp_path):
+    settings = {"ae_epochs": 1, "clf_epochs": 1}
+    out_dir = tmp_path / "warm"
+    run_pipeline(load_config(make_config(out_dir=out_dir, augment="true", augment_stage="ae",
+                                         **settings)), log=_quiet)
+    lines = []
+    run_pipeline(load_config(make_config(out_dir=out_dir, augment="false", augment_stage="ae",
+                                         **settings)), log=lines.append)
+    status = _stage_status(lines)
+    assert re.fullmatch(r"running: augment, .* changed", status["train-ae"])
+    assert status["encode"] == "running: upstream ran"
+    assert _tree(out_dir) == _cold_tree(make_config, tmp_path, augment="false",
+                                        augment_stage="ae", **settings)
+
+
 RUN_CLI = """
 import sys
 from qhybrid.cli import main

@@ -177,29 +177,30 @@ def _check_digests(net, rng, params_by_core, rng_state):
 
 
 # Digests of the trained parameters and the final loop-rng state, recorded
-# with per-tensor Adam and one uniform call per Dropout mask; the flat
-# parameter vector, blocked Adam and chunked mask draws must reproduce them.
+# with per-tensor Adam and one uniform call per Dropout mask from the loop
+# rng's child split("dropout"); the flat parameter vector, blocked Adam and
+# chunked mask draws must reproduce them, and
+# test_chunked_masks_match_one_call_per_mask checks the last against the
+# plain form on any core. The loop rng itself gives only the shuffles.
 # Parameter bits depend on OpenBLAS's kernel (Dense's matmuls round
 # differently under AVX-512 and AVX2), so each core keeps one digest of its
 # own: SkylakeX on AVX-512 hosts, Haswell on AVX2-only ones (OpenBLAS also
 # runs its Haswell kernels for Zen). The rng state does not depend on BLAS.
 
-def test_pinned_digests_classifier_short_last_batch():
+def _short_last_batch_run():
     data = Rng(60)
     x = data.uniform(45 * 12).reshape(45, 12)
     y = _one_hot(data, 45, 4)  # 45 rows at batch 8: the last batch has 5
     net = make_classifier(12, Rng(61), hidden=(16, 8), n_classes=4, dropout=0.3)
     rng = Rng(62)
     train(net, x, y, epochs=2, batch_size=8, adam=Adam(alpha=0.01), rng=rng)
-    _check_digests(net, rng, {
-        "SkylakeX": "0feb9289fe73a092f71886cf6b1c20e3582b42a1e2b9a043f4148363ac8eba2f",
-        "Haswell": "8a10ae4a0a64812027ad750958eaedbbeb0c739ad2d2cda67740d26b5d03f458",
-    }, "2305354830928b4f62674adf8c8bf7ff63eb6d1638794890ea29e5c0204694b9")
+    return net, rng
 
 
-def test_pinned_digests_classifier_masks_cross_chunk():
+def _masks_cross_chunk_run():
     # 180 mask draws per row, 11 520 per batch of 64: the first chunk ends
-    # 4 352 draws into batch 12, inside its 6 400-draw first mask
+    # 4 352 draws into batch 12, inside its 6 400-draw first mask, and the
+    # second chunk spans the epoch boundary at 144 000 draws
     assert 11 * 64 * 180 < MASK_CHUNK < 11 * 64 * 180 + 64 * 100 < 800 * 180
     data = Rng(70)
     x = data.uniform(800 * 8).reshape(800, 8)
@@ -207,10 +208,32 @@ def test_pinned_digests_classifier_masks_cross_chunk():
     net = make_classifier(8, Rng(71), hidden=(100, 50, 30), dropout=0.3)
     rng = Rng(72)
     train(net, x, y, epochs=2, batch_size=64, adam=Adam(), rng=rng, lr_step=1)
-    _check_digests(net, rng, {
-        "SkylakeX": "dab798e34313e2dc39312f095cffbd099ee5dc300bcbcb6653b7d61edf693f1c",
-        "Haswell": "39ea9937a13d2c4818505f1bbbb3774da4abcd44ba115f59b99a37d6860b8b41",
-    }, "64ec7b8b79b50f223978beaf60bf454ab200eb329ba407978d829ec641e18818")
+    return net, rng
+
+
+def test_pinned_digests_classifier_short_last_batch():
+    _check_digests(*_short_last_batch_run(), {
+        "SkylakeX": "c61401bafdcb782b2d1f8250b6ae9e5c3bcf379f6a27bfb91f25e7a9775aa799",
+        "Haswell": "24c49d34a97dbf011c9b090188920de10967e39f3572f116d1d687a724fd36f3",
+    }, "c69c3465c095292af06b7fa0c8cc2f7e7e45df07602ac48f36b9fe158bb39c86")
+
+
+def test_pinned_digests_classifier_masks_cross_chunk():
+    _check_digests(*_masks_cross_chunk_run(), {
+        "SkylakeX": "e4577ced7bc5f88b40eb369bf05598cb28b4e13e5a8f9f6a6a5a9a912b740d5c",
+        "Haswell": "046c7e78f3dcacf1d13a38f61d3b5937febeddd3b199838051a0814ca6a9a8e1",
+    }, "1ccd06e46660d21b756b76463255b799b10fbe585b31dacb7139239cd05021a7")
+
+
+@pytest.mark.parametrize("run", [_short_last_batch_run, _masks_cross_chunk_run])
+def test_chunked_masks_match_one_call_per_mask(run, monkeypatch):
+    # the reference draws each mask with its own uniform call on split("dropout")
+    runs = [run()]
+    monkeypatch.setattr("qhybrid.train._MaskDraws", lambda rng: rng)
+    runs.append(run())
+    chunked, plain = ((b"".join(arr.tobytes() for _, arr in net.archive_entries()),
+                       rng._state.tobytes()) for net, rng in runs)
+    assert chunked == plain
 
 
 def test_pinned_digests_autoencoder():
