@@ -2,7 +2,8 @@
 
 Verbs: train-ae, encode, qtransform, train-clf, eval, pipeline. Each verb
 names a target stage; it runs that stage and every stage upstream of it,
-each served from the cache when its record still matches.
+each served from the cache when its record still matches; ``eval`` is
+another name for ``train-clf``, whose stage also scores the classifier.
 Exit codes: 0 success, 1 internal error, 2 bad config/data,
 3 threshold failure under --check.
 """
@@ -47,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train-ae", help="train the autoencoder stage")
     sub.add_parser("encode", help="cache latent features from the trained autoencoder")
     sub.add_parser("qtransform", help="run the quantum feature transform over latents")
-    for verb in ("train-clf", "eval"):
-        p = sub.add_parser(verb, help=f"{verb} on a chosen feature set")
-        p.add_argument("--features", choices=FEATURE_SETS, default="quantum")
+    p = sub.add_parser("train-clf", aliases=["eval"],
+                       help="train a classifier on a chosen feature set and test it")
+    p.add_argument("--features", choices=FEATURE_SETS, default="quantum")
     sub.add_parser("pipeline", help="run every stage end to end with caching")
     return parser
 
@@ -57,9 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
 
-    features = getattr(args, "features", None)
-    target = {"pipeline": "summary", "train-clf": f"clf-{features}",
-              "eval": f"eval-{features}"}.get(args.command, args.command)
+    target = (f"clf-{args.features}" if args.command in ("train-clf", "eval")
+              else {"pipeline": "summary"}.get(args.command, args.command))
     if target == "summary":
         print(run_pipeline(cfg, force=args.force), end="")
     else:

@@ -164,10 +164,6 @@ class Network:
     def save(self, path) -> None:
         save_archive(self.archive_entries(), path)
 
-    @classmethod
-    def load(cls, path) -> "Network":
-        return cls.from_entries(dict(load_archive(path)))
-
 
 class Autoencoder:
     """Encoder/decoder pair held as one network; the first ``latent_layers``

@@ -2,7 +2,8 @@
 
 Every stage derives its randomness from Rng(seed).split(<stage label>), so
 stages are independent of execution order and re-runs are byte-identical.
-``STAGES`` is the one table of the stage graph. A stage's key hashes the
+``STAGES`` is the one table of the stage graph; each classifier stage trains
+its network and scores it on the test split. A stage's key hashes the
 config fields it reads, the digests of the data files among them (not their
 paths) and the keys its deps had when it ran; ``stages.json`` in the output
 directory records it together with the stage's results, which the summary
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import os
 import resource
 import time
 from contextlib import contextmanager
@@ -40,7 +42,7 @@ except ImportError:  # a Python built without its own BLAKE2
 from .archive import load_archive, save_archive, write_atomic
 from .config import PATH_KEYS, ExperimentConfig, require_data
 from .data import AugmentSpec, PixelRows, RawDataset, augment, load_raw_dataset, one_hot
-from .network import Autoencoder, Network, make_autoencoder, make_classifier
+from .network import Autoencoder, make_autoencoder, make_classifier
 from .optim import Adam
 from .qfeatures import LAYOUTS, MODES, ScalingStats, transform_features
 from .reports import (
@@ -119,7 +121,7 @@ def _augments(cfg, kind: str) -> bool:
 
 
 def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths,
-                   splits: dict[str, RawDataset]) -> dict:
+                   splits: dict[str, RawDataset], log=print) -> dict:
     rng = Rng(cfg.seed).split("train-ae")
     x_val = PixelRows(splits["val"].images)
     train_images = splits["train"].images
@@ -136,6 +138,7 @@ def stage_train_ae(cfg: ExperimentConfig, paths: StagePaths,
         ae.net, x_train, None,
         epochs=cfg.ae_epochs, batch_size=cfg.ae_batch, adam=Adam(alpha=cfg.ae_lr),
         rng=rng.split("loop"), x_val=x_val, lr_step=cfg.lr_step, lr_factor=cfg.lr_factor,
+        log=lambda line: log(f"[train-ae] {line}"),
     )
     ae.save(paths.ae_model)
     write_csv(paths.ae_loss_csv, ["epoch", "train_mse", "val_mse"],
@@ -213,20 +216,14 @@ def stage_qtransform(cfg: ExperimentConfig, paths: StagePaths) -> None:
     save_archive(out, paths.qfeatures)
 
 
-_FEATURE_ARCHIVES = {"latent": (lambda p: p.latents, "latents"),
-                     "quantum": (lambda p: p.qfeatures, "qfeat")}
-
-
-def _features_for(which: str, paths: StagePaths, splits: tuple[str, ...]):
-    """(features, one-hot labels) of each named split of feature set ``which``."""
-    archive, key = _FEATURE_ARCHIVES[which]
-    entries = dict(load_archive(archive(paths)))
-    return [(entries[f"{key}/{split}"], one_hot(entries[f"labels/{split}"].astype(np.int64)))
-            for split in splits]
-
-
-def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dict:
-    (x_train, y_train), (x_val, y_val) = _features_for(which, paths, ("train", "val"))
+def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str, log) -> dict:
+    """Train a classifier on feature set ``which`` and score it on the test split;
+    the results are the final history row (none after 0 epochs), test_acc and test_loss."""
+    archive, key = (paths.latents, "latents") if which == "latent" else (paths.qfeatures, "qfeat")
+    entries = dict(load_archive(archive))
+    (x_train, y_train), (x_val, y_val), (x_test, y_test) = [
+        (entries[f"{key}/{split}"], one_hot(entries[f"labels/{split}"].astype(np.int64)))
+        for split in SPLITS]
     if len(x_train) != len(y_train):
         raise StageError(f"feature/label count mismatch: {len(x_train)} vs {len(y_train)}")
     rng = Rng(cfg.seed).split(f"train-clf/{which}")
@@ -239,28 +236,22 @@ def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dic
         epochs=cfg.clf_epochs, batch_size=cfg.clf_batch, adam=Adam(alpha=cfg.clf_lr),
         rng=rng.split("loop"), x_val=x_val, y_val=y_val,
         lr_step=cfg.lr_step, lr_factor=cfg.lr_factor,
+        log=lambda line: log(f"[clf-{which}] {line}"),
     )
     net.save(paths.clf_model[which])
-    write_csv(
-        paths.clf_history_csv[which],
-        ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
-        [[r.epoch, r.train_loss, r.train_acc, r.val_loss, r.val_acc] for r in history],
-    )
-    return asdict(history[-1]) if history else {}
-
-
-def stage_eval(cfg: ExperimentConfig, paths: StagePaths, which: str) -> dict:
-    [(x_test, y_test)] = _features_for(which, paths, ("test",))
-    net = Network.load(paths.clf_model[which])
+    columns = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+    write_csv(paths.clf_history_csv[which], columns,
+              [[getattr(r, c) for c in columns] for r in history])
     report = evaluate_classifier(net, x_test, y_test)
     write_confusion_csv(paths.eval_confusion_csv[which], report.confusion)
     write_metrics_csv(paths.eval_metrics_csv[which], report)
-    return {"accuracy": report.accuracy, "loss": report.loss}
+    return {**(asdict(history[-1]) if history else {}),
+            "test_acc": report.accuracy, "test_loss": report.loss}
 
 
 def stage_summary(cfg: ExperimentConfig, paths: StagePaths, records: dict) -> None:
     """Write summary.txt from the results in the stage records."""
-    ae_final = records["train-ae"]["results"]
+    ae_final = records["train-ae"]["results"]  # empty after 0 epochs
     counts = records["encode"]["results"]
     lines = [
         "hybrid quantum-classical experiment summary",
@@ -269,31 +260,17 @@ def stage_summary(cfg: ExperimentConfig, paths: StagePaths, records: dict) -> No
         f"samples: train={counts['train']} val={counts['val']} test={counts['test']}",
         f"quantum mode: {cfg.quantum_mode} (shots={cfg.shots}, layout={cfg.quantum_layout})",
         "",
-    ]
-    if ae_final:
-        lines.append(
-            "autoencoder: train_mse={:.6f} val_mse={:.6f} (epochs={})".format(
-                ae_final["train_mse"], ae_final["val_mse"], cfg.ae_epochs
-            )
-        )
-    else:
-        lines.append("autoencoder: no training epochs recorded")
-    lines += [
+        "autoencoder: train_mse={train_mse:.6f} val_mse={val_mse:.6f} (epochs={epochs})".format(
+            epochs=cfg.ae_epochs, **ae_final) if ae_final
+        else "autoencoder: no training epochs recorded",
         "",
         "classifier            train_acc  val_acc  test_acc  test_loss",
     ]
     for which, label in (("latent", "latent (baseline)"), ("quantum", "quantum features")):
-        hist = records[f"clf-{which}"]["results"]
-        metrics = records[f"eval-{which}"]["results"]
-        lines.append(
-            "{:<20}  {:>9} {:>8} {:>9} {:>10}".format(
-                label,
-                "{:.4f}".format(hist["train_acc"]) if hist else "n/a",
-                "{:.4f}".format(hist["val_acc"]) if hist else "n/a",
-                "{:.4f}".format(metrics["accuracy"]),
-                "{:.4f}".format(metrics["loss"]),
-            )
-        )
+        res = records[f"clf-{which}"]["results"]  # no train/val columns after 0 epochs
+        cells = ["{:.4f}".format(res[k]) if k in res else "n/a"
+                 for k in ("train_acc", "val_acc", "test_acc", "test_loss")]
+        lines.append("{:<20}  {:>9} {:>8} {:>9} {:>10}".format(label, *cells))
     write_atomic(paths.summary, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -317,7 +294,7 @@ _CLF_FIELDS = ("seed", "clf_widths", "clf_dropout", "clf_epochs", "clf_batch", "
 
 STAGES = {stage.name: stage for stage in (
     Stage("train-ae", (), lambda p: (p.ae_model, p.ae_loss_csv, p.recon_dir),
-          lambda cfg, p, run: stage_train_ae(cfg, p, run.splits()),
+          lambda cfg, p, run: stage_train_ae(cfg, p, run.splits(), run.log),
           (*_SPLIT_FIELDS, *_AUGMENT_FIELDS, "ae_epochs", "ae_batch", "ae_lr", "lr_step",
            "lr_factor")),
     Stage("encode", ("train-ae",), lambda p: (p.latents,),
@@ -326,18 +303,14 @@ STAGES = {stage.name: stage for stage in (
     Stage("qtransform", ("encode",), lambda p: (p.qfeatures,),
           lambda cfg, p, _: stage_qtransform(cfg, p), _QUANTUM_FIELDS),
     Stage("clf-latent", ("encode",),
-          lambda p: (p.clf_model["latent"], p.clf_history_csv["latent"]),
-          lambda cfg, p, _: stage_train_clf(cfg, p, "latent"), _CLF_FIELDS),
+          lambda p: (p.clf_model["latent"], p.clf_history_csv["latent"],
+                     p.eval_confusion_csv["latent"], p.eval_metrics_csv["latent"]),
+          lambda cfg, p, run: stage_train_clf(cfg, p, "latent", run.log), _CLF_FIELDS),
     Stage("clf-quantum", ("qtransform",),
-          lambda p: (p.clf_model["quantum"], p.clf_history_csv["quantum"]),
-          lambda cfg, p, _: stage_train_clf(cfg, p, "quantum"), _CLF_FIELDS),
-    Stage("eval-latent", ("clf-latent",),
-          lambda p: (p.eval_confusion_csv["latent"], p.eval_metrics_csv["latent"]),
-          lambda cfg, p, _: stage_eval(cfg, p, "latent"), ()),
-    Stage("eval-quantum", ("clf-quantum",),
-          lambda p: (p.eval_confusion_csv["quantum"], p.eval_metrics_csv["quantum"]),
-          lambda cfg, p, _: stage_eval(cfg, p, "quantum"), ()),
-    Stage("summary", ("eval-latent", "eval-quantum"), lambda p: (p.summary,),
+          lambda p: (p.clf_model["quantum"], p.clf_history_csv["quantum"],
+                     p.eval_confusion_csv["quantum"], p.eval_metrics_csv["quantum"]),
+          lambda cfg, p, run: stage_train_clf(cfg, p, "quantum", run.log), _CLF_FIELDS),
+    Stage("summary", ("clf-latent", "clf-quantum"), lambda p: (p.summary,),
           lambda cfg, p, run: stage_summary(cfg, p, run.records),
           (*_QUANTUM_FIELDS, "ae_epochs")),
 )}
@@ -353,9 +326,24 @@ def _file_digest(path) -> str:
     return digest.hexdigest()
 
 
+def _process_gone(pid: str) -> bool:
+    """Whether ``pid``, the field write_atomic puts in a temp file's name,
+    names no running process. A process of another user counts as running."""
+    if pid.isdigit():
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            return True
+        except (OverflowError, PermissionError):  # too large for a pid; another user's process
+            pass
+    return False
+
+
 class PipelineRun:
     """One invocation over an output directory: runs stages by name and
-    serves a stage from the cache when its record in stages.json matches."""
+    serves a stage from the cache when its record in stages.json matches.
+    On start it drops from stages.json each record it cannot use, such as one
+    of a stage no longer in STAGES, and removes temp files of dead writers."""
 
     def __init__(self, cfg: ExperimentConfig, *, force: bool = False, log=print):
         self.cfg, self.force, self.log = cfg, force, log
@@ -368,13 +356,20 @@ class PipelineRun:
             records = {}
         if not isinstance(records, dict):  # a manifest of another shape holds no record
             records = {}
-        self.records = {name: rec for name, rec in records.items()  # nor does such a record
-                        if isinstance(rec, dict) and isinstance(rec.get("reads"), dict)
+        # nor does such a record, or one of a stage that no longer exists
+        self.records = {name: rec for name, rec in records.items() if name in STAGES
+                        and isinstance(rec, dict) and isinstance(rec.get("reads"), dict)
                         and isinstance(rec.get("env"), dict)
                         and {"inputs", "deps", "results"} <= rec.keys()}
+        if self.records.keys() != records.keys():
+            self._save_records()
         self.ran: set[str] = set()
         self._digests: dict[str, str] | None = None  # _file_digest per data path key
         self._splits: dict[str, RawDataset] | None = None
+        for tmp in (*self.paths.out_dir.glob(".*.tmp"), *self.paths.recon_dir.glob(".*.tmp")):
+            if _process_gone(tmp.name.rsplit(".", 2)[-2]):
+                tmp.unlink(missing_ok=True)
+                self.log(f"removed stale {tmp.relative_to(self.paths.out_dir)}")
 
     def run_stage(self, name: str) -> None:
         """Run the named stage, or log that it is cached. Its deps must have
@@ -558,9 +553,9 @@ def check_thresholds(cfg: ExperimentConfig, paths: StagePaths, target: str) -> l
                          ("quantum", cfg.check_quantum_val_acc)):
         if f"clf-{which}" not in closure:
             continue
-        hist = records[f"clf-{which}"]["results"]
-        if not hist:
+        res = records[f"clf-{which}"]["results"]
+        if "val_acc" not in res:
             failures.append(f"{which} classifier history is empty")
-        elif hist["val_acc"] < floor:
-            failures.append(f"{which} val accuracy {hist['val_acc']:.4f} < {floor}")
+        elif res["val_acc"] < floor:
+            failures.append(f"{which} val accuracy {res['val_acc']:.4f} < {floor}")
     return failures

@@ -8,7 +8,8 @@ mask would draw, in far fewer calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,7 +83,8 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
     ``data.PixelRows`` view that normalises one batch at a time. y=None means
     autoencoder mode: each batch is gathered once, is its own target, and the
     loss is MSE; otherwise y holds one-hot labels and the loss is categorical
-    cross-entropy.
+    cross-entropy. ``log`` gets one line per epoch: the record's measures (an
+    autoencoder's named ``mse``) and rows per wall second, validation included.
     """
     classify = y is not None
     loss_fn = cross_entropy_loss if classify else mse_loss
@@ -90,6 +92,7 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
     history: list[EpochRecord] = []
     masks = _MaskDraws(rng.split("dropout"))
     for epoch in range(epochs):
+        start = time.perf_counter()
         x_epoch = x(epoch) if callable(x) else x
         if len(x_epoch) == 0:
             raise ValueError("training dataset is empty")
@@ -119,7 +122,12 @@ def train(net: Network, x, y: np.ndarray | None, *, epochs: int, batch_size: int
             if classify:
                 record.val_acc = float(np.sum(preds == y_val.argmax(axis=1))) / len(x_val)
         if log is not None:
-            log(record)
+            loss_name = "loss" if classify else "mse"
+            measures = " ".join(f"{k.replace('loss', loss_name)}={v:.6f}"
+                                for k, v in asdict(record).items()
+                                if k != "epoch" and v is not None)
+            log(f"epoch {epoch + 1}/{epochs} {measures} "
+                f"{n / (time.perf_counter() - start):.0f} rows/s")
         history.append(record)
     net.eval()
     adam.alpha = alpha0

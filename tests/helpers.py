@@ -9,6 +9,8 @@ from qhybrid.data import IMAGE_MAGIC, LABEL_MAGIC
 
 # The line a stage prints when it has run; %s is the stage name
 DONE = r"\[%s\] done: \d+\.\d{3} s, maxrss \d+\.\d MB, \d+ minor faults"
+# An epoch line's measures after "[stage] epoch i/n "
+EPOCH = r"(\w+=\d+\.\d{6} )+\d+ rows/s"
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:

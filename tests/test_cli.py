@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import DONE, idx_image_bytes, idx_label_bytes
+from helpers import DONE, EPOCH, idx_image_bytes, idx_label_bytes
 
 import qhybrid
 from qhybrid.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
@@ -125,8 +125,10 @@ def test_stage_verb_runs_its_missing_upstream(make_config, tmp_path, capsys):
     cfg = make_config(out_dir=tmp_path / "empty-run")
     assert main(["--config", str(cfg), "encode"]) == EXIT_OK
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
-    assert len(lines) == 4
-    for line, wanted in zip(lines, [r"\[train-ae\] running: no record", DONE % "train-ae",
+    assert len(lines) == 6
+    for line, wanted in zip(lines, [r"\[train-ae\] running: no record",
+                                    *(rf"\[train-ae\] epoch {i}/2 {EPOCH}" for i in (1, 2)),
+                                    DONE % "train-ae",
                                     r"\[encode\] running: no record", DONE % "encode"]):
         assert re.fullmatch(wanted, line), line
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qhybrid.archive import load_archive
 from qhybrid.layers import BatchNorm, Dense, Dropout
 from qhybrid.losses import cross_entropy_loss, mse_loss
 from qhybrid.network import (
@@ -108,7 +109,7 @@ def test_save_load_round_trip_preserves_behavior(tmp_path):
     before = net.forward(x)
     path = tmp_path / "net.qhm"
     net.save(path)
-    restored = Network.load(path)
+    restored = Network.from_entries(dict(load_archive(path)))
     assert np.array_equal(restored.forward(x), before)
     drop = restored.layers[2]
     assert isinstance(drop, Dropout) and drop.p == 0.3
@@ -202,7 +203,7 @@ def test_parameters_are_views_into_flat_vectors(tmp_path):
     assert net.layers[0].W[0, 0] == 5.0
     _assert_packed(Network.from_entries(dict(net.archive_entries())))
     net.save(tmp_path / "net.qhm")
-    restored = Network.load(tmp_path / "net.qhm")
+    restored = Network.from_entries(dict(load_archive(tmp_path / "net.qhm")))
     _assert_packed(restored)
     assert np.array_equal(restored.param_vector, net.param_vector)
 

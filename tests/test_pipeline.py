@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import DONE, write_synthetic_idx
+from helpers import DONE, EPOCH, write_synthetic_idx
 
 import qhybrid
 from qhybrid import pipeline
@@ -230,7 +230,8 @@ def test_train_ae_replaces_recon_images_and_reruns_without_them(make_config, tmp
     lines = []
     run_pipeline(second, "train-ae", log=lines.append)
     assert lines[0] == "[train-ae] running: output missing"
-    assert len(lines) == 2 and re.fullmatch(DONE % "train-ae", lines[1]), lines
+    assert len(lines) == 3 and re.fullmatch(rf"\[train-ae\] epoch 1/1 {EPOCH}", lines[1])
+    assert re.fullmatch(DONE % "train-ae", lines[2]), lines
     assert {p.name: p.read_bytes() for p in paths.recon_dir.iterdir()} == recon
     assert paths.manifest.read_bytes() == manifest
 
@@ -367,7 +368,7 @@ def test_stage_verb_reruns_its_stale_upstream(make_config, tmp_path, capsys):
     capsys.readouterr()
     assert main(["--config", str(cfg), "eval", "--features", "latent"]) == EXIT_OK
     status = _stage_status(capsys.readouterr().out.splitlines(),
-                           ("train-ae", "encode", "clf-latent", "eval-latent"))
+                           ("train-ae", "encode", "clf-latent"))
     assert status["train-ae"] == "running: seed changed"
     assert all(text.startswith("running") for text in status.values())
     warm, cold = _tree(tmp_path / "warm"), _cold_tree(make_config, tmp_path, **settings)
@@ -421,7 +422,7 @@ def test_augmentation_settings_of_a_stage_that_does_not_augment_keep_it_cached(
     run_pipeline(load_config(make_config(**settings, **first)), log=_quiet)
     lines = []
     run_pipeline(load_config(make_config(**settings, **second)), log=lines.append)
-    assert list(_stage_status(lines).values()) == ["cached"] * 8
+    assert list(_stage_status(lines).values()) == ["cached"] * 6
 
 
 def test_turning_augmentation_off_reruns_the_augmenting_stage(make_config, tmp_path):
@@ -594,7 +595,7 @@ def test_code_or_blas_kernel_change_reruns_every_stage(make_config, tmp_path, mo
     before = _tree(out_dir)
     lines = []
     run_pipeline(cfg, log=lines.append)
-    assert list(_stage_status(lines).values()) == ["cached"] * 8
+    assert list(_stage_status(lines).values()) == ["cached"] * 6
     kernel = pipeline.blas_core()
     monkeypatch.setattr(pipeline, "blas_core", lambda: "OtherCore")
     lines = []
@@ -607,7 +608,7 @@ def test_code_or_blas_kernel_change_reruns_every_stage(make_config, tmp_path, mo
     assert set(_stage_status(lines).values()) == {"running: code changed"}
     records = json.loads(StagePaths(out_dir).manifest.read_text())
     env = {"code": "0" * 64, "numpy": np.__version__, "blas": "OtherCore"}
-    assert [record["env"] for record in records.values()] == [env] * 8
+    assert [record["env"] for record in records.values()] == [env] * 6
     monkeypatch.undo()
     lines = []
     run_pipeline(cfg, log=lines.append)
@@ -631,4 +632,86 @@ def test_records_without_env_rerun_once(make_config, tmp_path):
     for path in sorted(Path(qhybrid.__file__).parent.glob("*.py")):
         package.update(path.name.encode() + b"\0" + path.read_bytes())
     env = {"code": package.hexdigest(), "numpy": np.__version__, "blas": pipeline.blas_core()}
-    assert [r["env"] for r in json.loads(paths.manifest.read_text()).values()] == [env] * 8
+    assert [r["env"] for r in json.loads(paths.manifest.read_text()).values()] == [env] * 6
+
+
+def test_classifier_stage_scores_its_own_network_on_the_test_split(make_config, tmp_path):
+    out_dir = tmp_path / "warm"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    assert list(STAGES) == ["train-ae", "encode", "qtransform", "clf-latent", "clf-quantum",
+                            "summary"]
+    paths = StagePaths(out_dir)
+    results = json.loads(paths.manifest.read_text())["clf-quantum"]["results"]
+    metrics = dict(read_csv(paths.eval_metrics_csv["quantum"])[1])
+    assert results["test_acc"] == float(metrics["accuracy"])
+    assert results["test_loss"] == float(metrics["loss"])
+    assert results["val_acc"] == float(read_csv(paths.clf_history_csv["quantum"])[1][-1][4])
+    paths.eval_metrics_csv["quantum"].unlink()
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    status = _stage_status(lines)
+    assert status.pop("clf-quantum") == "running: output missing"
+    assert status.pop("summary") == "running: upstream ran"
+    assert set(status.values()) == {"cached"}
+    assert _tree(out_dir) == _cold_tree(make_config, tmp_path, ae_epochs=1, clf_epochs=1)
+
+
+def test_records_of_stages_that_no_longer_exist_are_dropped(make_config, tmp_path):
+    out_dir = tmp_path / "warm"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    paths = StagePaths(out_dir)
+    manifest = paths.manifest.read_bytes()
+    records = json.loads(manifest)
+    records["eval-latent"] = {**records["clf-latent"], "deps": {"clf-latent": "0" * 64}}
+    paths.manifest.write_text(json.dumps(records))
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"cached"}
+    assert paths.manifest.read_bytes() == manifest
+
+
+def test_zero_classifier_epochs_summarise_and_check_the_test_split_alone(make_config, tmp_path,
+                                                                        capsys):
+    cfg = make_config(out_dir=tmp_path / "zero", ae_epochs=1, clf_epochs=0)
+    assert main(["--config", str(cfg), "--check", "pipeline"]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert re.search(r"^latent \(baseline\) +n/a +n/a +\d\.\d{4} +\d\.\d{4}$", captured.out, re.M)
+    assert "latent classifier history is empty" in captured.err
+    assert "[clf-latent] epoch" not in captured.out
+    results = json.loads(StagePaths(tmp_path / "zero").manifest.read_text())["clf-latent"]
+    assert set(results["results"]) == {"test_acc", "test_loss"}
+
+
+def test_each_training_stage_prints_one_line_per_epoch(make_config, tmp_path):
+    cfg = load_config(make_config(out_dir=tmp_path / "epochs", ae_epochs=2, clf_epochs=3))
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    clf = ["train_loss", "val_loss", "train_acc", "val_acc"]
+    for name, epochs, measures in (("train-ae", 2, ["train_mse", "val_mse"]),
+                                   ("clf-latent", 3, clf), ("clf-quantum", 3, clf)):
+        start = lines.index(f"[{name}] running: no record")
+        for i, line in enumerate(lines[start + 1 : start + 1 + epochs], 1):
+            assert re.fullmatch(rf"\[{name}\] epoch {i}/{epochs} {EPOCH}", line), line
+            assert re.findall(r"(\w+)=", line) == measures
+        assert re.fullmatch(DONE % name, lines[start + 1 + epochs])
+    assert sum(" epoch " in line for line in lines) == 8
+
+
+def test_run_removes_temp_files_whose_process_died(make_config, tmp_path):
+    out_dir = tmp_path / "warm"
+    (out_dir / "recon").mkdir(parents=True)
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()  # its pid now names no process
+    dead = [out_dir / f".latents.qhm.{child.pid}.tmp",
+            out_dir / "recon" / f".recon_00_ae.pgm.{child.pid}.tmp"]
+    alive = [out_dir / f".qfeatures.qhm.{os.getpid()}.tmp", out_dir / ".notes.txt.tmp"]
+    for path in dead + alive:
+        path.write_bytes(b"partial")
+    lines = []
+    pipeline.PipelineRun(load_config(make_config(out_dir=out_dir)), log=lines.append)
+    assert not any(path.exists() for path in dead)
+    assert all(path.exists() for path in alive)
+    assert sorted(lines) == [f"removed stale .latents.qhm.{child.pid}.tmp",
+                             f"removed stale recon/.recon_00_ae.pgm.{child.pid}.tmp"]
