@@ -58,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
 
-    target = (f"clf-{args.features}" if args.command in ("train-clf", "eval")
-              else {"pipeline": "summary"}.get(args.command, args.command))
+    features = getattr(args, "features", None)
+    target = {"pipeline": "summary", "train-clf": f"clf-{features}",
+              "eval": f"clf-{features}"}.get(args.command, args.command)
     if target == "summary":
         print(run_pipeline(cfg, force=args.force), end="")
     else:

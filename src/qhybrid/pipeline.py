@@ -239,9 +239,12 @@ def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str, log) -
         log=lambda line: log(f"[clf-{which}] {line}"),
     )
     net.save(paths.clf_model[which])
-    columns = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
-    write_csv(paths.clf_history_csv[which], columns,
-              [[getattr(r, c) for c in columns] for r in history])
+    write_csv(
+        paths.clf_history_csv[which],
+        ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
+        [[r.epoch, r.train_loss, r.train_acc, r.val_loss, r.val_acc] for r in history],
+    )
+    log(f"[eval-{which}] testing on {len(x_test)} rows")
     report = evaluate_classifier(net, x_test, y_test)
     write_confusion_csv(paths.eval_confusion_csv[which], report.confusion)
     write_metrics_csv(paths.eval_metrics_csv[which], report)
@@ -251,7 +254,7 @@ def stage_train_clf(cfg: ExperimentConfig, paths: StagePaths, which: str, log) -
 
 def stage_summary(cfg: ExperimentConfig, paths: StagePaths, records: dict) -> None:
     """Write summary.txt from the results in the stage records."""
-    ae_final = records["train-ae"]["results"]  # empty after 0 epochs
+    ae_final = records["train-ae"]["results"]
     counts = records["encode"]["results"]
     lines = [
         "hybrid quantum-classical experiment summary",
@@ -260,17 +263,30 @@ def stage_summary(cfg: ExperimentConfig, paths: StagePaths, records: dict) -> No
         f"samples: train={counts['train']} val={counts['val']} test={counts['test']}",
         f"quantum mode: {cfg.quantum_mode} (shots={cfg.shots}, layout={cfg.quantum_layout})",
         "",
-        "autoencoder: train_mse={train_mse:.6f} val_mse={val_mse:.6f} (epochs={epochs})".format(
-            epochs=cfg.ae_epochs, **ae_final) if ae_final
-        else "autoencoder: no training epochs recorded",
+    ]
+    if ae_final:
+        lines.append(
+            "autoencoder: train_mse={:.6f} val_mse={:.6f} (epochs={})".format(
+                ae_final["train_mse"], ae_final["val_mse"], cfg.ae_epochs
+            )
+        )
+    else:
+        lines.append("autoencoder: no training epochs recorded")
+    lines += [
         "",
         "classifier            train_acc  val_acc  test_acc  test_loss",
     ]
     for which, label in (("latent", "latent (baseline)"), ("quantum", "quantum features")):
-        res = records[f"clf-{which}"]["results"]  # no train/val columns after 0 epochs
-        cells = ["{:.4f}".format(res[k]) if k in res else "n/a"
-                 for k in ("train_acc", "val_acc", "test_acc", "test_loss")]
-        lines.append("{:<20}  {:>9} {:>8} {:>9} {:>10}".format(label, *cells))
+        res = records[f"clf-{which}"]["results"]  # no train/val entries after 0 epochs
+        lines.append(
+            "{:<20}  {:>9} {:>8} {:>9} {:>10}".format(
+                label,
+                "{:.4f}".format(res["train_acc"]) if "train_acc" in res else "n/a",
+                "{:.4f}".format(res["val_acc"]) if "val_acc" in res else "n/a",
+                "{:.4f}".format(res["test_acc"]),
+                "{:.4f}".format(res["test_loss"]),
+            )
+        )
     write_atomic(paths.summary, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -695,7 +695,10 @@ def test_each_training_stage_prints_one_line_per_epoch(make_config, tmp_path):
         for i, line in enumerate(lines[start + 1 : start + 1 + epochs], 1):
             assert re.fullmatch(rf"\[{name}\] epoch {i}/{epochs} {EPOCH}", line), line
             assert re.findall(r"(\w+)=", line) == measures
-        assert re.fullmatch(DONE % name, lines[start + 1 + epochs])
+        after = lines[start + 1 + epochs :]
+        if name.startswith("clf-"):  # the test-split pass has its own line
+            assert after.pop(0) == f"[eval-{name[4:]}] testing on 100 rows"
+        assert re.fullmatch(DONE % name, after[0])
     assert sum(" epoch " in line for line in lines) == 8
 
 
