@@ -8,18 +8,32 @@ _BLOCK = 2**14  # elements per pass of the fused update: 128 KB per operand
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias-corrected first/second moments.
+    """Adaptive-moment optimizer with bias-corrected first/second moments, in
+    the form of Kingma & Ba (ICLR 2015), section 2, the paragraph before 2.1:
+    both bias corrections fold into one step size and one epsilon per step.
 
-    Per step t (starting at 1):
+    The moments are kept scaled by 1 / (1 - beta): m' = m / (1 - beta1) and
+    v' = v / (1 - beta2). Per step t (starting at 1), with the scalars
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g^2
-        m_hat = m / (1 - beta1^t),  v_hat = v / (1 - beta2^t)
-        theta -= alpha * m_hat / (sqrt(v_hat) + eps)
+        r = sqrt((1 - beta2^t) / (1 - beta2))
+        c = alpha * ((1 - beta1) / (1 - beta1^t)) * r
+        e = eps * r
 
-    The update runs in place, ``_BLOCK`` elements at a time through two
-    block-sized scratch buffers, in that order of operations; training passes
-    one flat (parameters, gradients) pair per network.
+    computed once from the current ``alpha`` (so ``lr_schedule`` applies),
+    the update is
+
+        m' = beta1 * m' + g
+        v' = beta2 * v' + g^2
+        theta -= c * m' / (sqrt(v') + e)
+
+    which equals the textbook m_hat = m / (1 - beta1^t), v_hat = v /
+    (1 - beta2^t), theta -= alpha * m_hat / (sqrt(v_hat) + eps) up to
+    rounding. It runs in place, ``_BLOCK`` elements at a time through two
+    block-sized scratch rows, in ten passes per block and in this order:
+    m' *= beta1; m' += g; v' *= beta2; step = g * g; v' += step;
+    denom = sqrt(v'); denom += e; step = m' * c; step /= denom;
+    theta -= step. Training passes one flat (parameters, gradients) pair per
+    network.
     """
 
     def __init__(self, alpha: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
@@ -43,8 +57,9 @@ class Adam:
         if len(self.m) != len(params):
             raise ValueError(f"optimizer tracks {len(self.m)} params, got {len(params)}")
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        r = np.sqrt((1.0 - self.beta2**self.t) / (1.0 - self.beta2))
+        c = self.alpha * ((1.0 - self.beta1) / (1.0 - self.beta1**self.t)) * r
+        e = self.eps * r
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
@@ -53,12 +68,11 @@ class Adam:
                 pb, gb, mb, vb = (a[i : i + _BLOCK] for a in (p, g, m, v))
                 step, denom = self._scratch[:, : pb.size]
                 mb *= self.beta1
-                mb += np.multiply(gb, 1.0 - self.beta1, out=step)
+                mb += gb
                 vb *= self.beta2
-                vb += np.multiply(np.multiply(gb, gb, out=step), 1.0 - self.beta2, out=step)
-                np.multiply(np.divide(mb, bias1, out=step), self.alpha, out=step)
-                np.add(np.sqrt(np.divide(vb, bias2, out=denom), out=denom), self.eps, out=denom)
-                pb -= np.divide(step, denom, out=step)
+                vb += np.multiply(gb, gb, out=step)
+                np.add(np.sqrt(vb, out=denom), e, out=denom)
+                pb -= np.divide(np.multiply(mb, c, out=step), denom, out=step)
         return params
 
 

@@ -8,9 +8,10 @@ config fields it reads, the digests of the data files among them (not their
 paths) and the keys its deps had when it ran; ``stages.json`` in the output
 directory records it together with the stage's results, which the summary
 and --check read, and the environment that built it (``run_env``: a digest
-of the package's source, the numpy version and the OpenBLAS kernel), kept
-outside the key. A stage re-runs when an output is missing, its key or its
-environment changed, --force is given, or an upstream stage ran.
+of the package's source, the numpy version, the OpenBLAS kernel and numpy's
+enabled SIMD dispatch targets), kept outside the key. A stage re-runs when
+an output is missing, its key or its environment changed, --force is given,
+or an upstream stage ran.
 ``run_pipeline`` runs a target stage together with every stage it depends
 on, so no stage is served from outputs built from another config.
 
@@ -33,6 +34,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 try:
     from _blake2 import blake2b
@@ -451,7 +453,8 @@ class PipelineRun:
             return "input changed"
         if old["env"].get("code") != self.env["code"]:
             return "code changed"
-        moved = [f"{fact} {old['env'].get(fact)} -> {self.env[fact]}" for fact in ("numpy", "blas")
+        moved = [f"{fact} {old['env'].get(fact)} -> {self.env[fact]}"
+                 for fact in ("numpy", "blas", "dispatch")
                  if old["env"].get(fact) != self.env[fact]]
         if moved:
             return f"numeric environment changed ({', '.join(moved)})"
@@ -501,6 +504,14 @@ def blas_core() -> str:
     return name().decode()
 
 
+def numpy_dispatch() -> str:
+    """numpy's SIMD dispatch targets enabled on this CPU, as ``np.show_runtime``
+    lists them, for example ``X86_V3 X86_V4 AVX512_ICL AVX512_SPR``, or
+    ``none``. ``exp``, ``log`` and ``arccos`` round differently per target,
+    and ``NPY_DISABLE_CPU_FEATURES`` turns targets off."""
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]) or "none"
+
+
 def code_digest() -> str:
     """BLAKE2b-256 over the name and bytes of every module of the package, in
     name order: stages reach each other's modules through imports, so the
@@ -513,7 +524,8 @@ def code_digest() -> str:
 
 def run_env() -> dict:
     """The facts a stage's bytes depend on beyond its key, taken once per run."""
-    return {"code": code_digest(), "numpy": np.__version__, "blas": blas_core()}
+    return {"code": code_digest(), "numpy": np.__version__, "blas": blas_core(),
+            "dispatch": numpy_dispatch()}
 
 
 @contextmanager

@@ -74,14 +74,26 @@ def test_lr_schedule_validation():
 
 
 def _per_tensor_adam(params, grads, m, v, t, alpha, b1=0.9, b2=0.999, eps=1e-8):
-    # the per-tensor, allocating form of the update, in its order of operations
-    bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+    # the per-tensor, allocating form of the update, in its documented order:
+    # moments scaled by 1 / (1 - beta), both bias corrections in c and e
+    r = np.sqrt((1.0 - b2**t) / (1.0 - b2))
+    c, e = alpha * ((1.0 - b1) / (1.0 - b1**t)) * r, eps * r
+    for p, g, mt, vt in zip(params, grads, m, v):
+        mt *= b1
+        mt += g
+        vt *= b2
+        vt += g * g
+        p -= (mt * c) / (np.sqrt(vt) + e)
+
+
+def _textbook_adam(params, grads, m, v, t, alpha, b1=0.9, b2=0.999, eps=1e-8):
+    # Kingma & Ba's Algorithm 1: unscaled moments, bias corrections applied to each
     for p, g, mt, vt in zip(params, grads, m, v):
         mt *= b1
         mt += (1.0 - b1) * g
         vt *= b2
         vt += (1.0 - b2) * (g * g)
-        p -= alpha * (mt / bias1) / (np.sqrt(vt / bias2) + eps)
+        p -= alpha * (mt / (1.0 - b1**t)) / (np.sqrt(vt / (1.0 - b2**t)) + eps)
 
 
 def test_blocked_step_matches_per_tensor_formula_bit_for_bit():
@@ -109,3 +121,21 @@ def test_blocked_step_matches_per_tensor_formula_bit_for_bit():
 def test_param_that_cannot_be_flattened_in_place_rejected():
     with pytest.raises(ValueError):
         Adam().step([np.zeros((4, 4))[:, :2]], [np.ones((4, 2))])
+
+
+def test_fifty_steps_agree_with_textbook_bias_corrected_form():
+    rng = Rng(23)
+    shapes = [(4, 300), (7,), (_BLOCK + 3,)]
+    tensors = [rng.uniform(int(np.prod(s))).reshape(s) - 0.5 for s in shapes]
+    textbook = [t.copy() for t in tensors]
+    m = [np.zeros_like(t) for t in tensors]
+    v = [np.zeros_like(t) for t in tensors]
+    adam = Adam(alpha=0.01)
+    for step in range(50):
+        alpha = lr_schedule(0.01, step, step_size=20, factor=0.5)
+        adam.alpha = alpha
+        grads = [rng.uniform(t.size).reshape(t.shape) - 0.5 for t in tensors]
+        adam.step(tensors, grads)
+        _textbook_adam(textbook, grads, m, v, step + 1, alpha)
+    for got, want in zip(tensors, textbook):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10

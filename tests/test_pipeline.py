@@ -607,13 +607,36 @@ def test_code_or_blas_kernel_change_reruns_every_stage(make_config, tmp_path, mo
     run_pipeline(cfg, log=lines.append)
     assert set(_stage_status(lines).values()) == {"running: code changed"}
     records = json.loads(StagePaths(out_dir).manifest.read_text())
-    env = {"code": "0" * 64, "numpy": np.__version__, "blas": "OtherCore"}
+    env = {"code": "0" * 64, "numpy": np.__version__, "blas": "OtherCore",
+           "dispatch": pipeline.numpy_dispatch()}
     assert [record["env"] for record in records.values()] == [env] * 6
     monkeypatch.undo()
     lines = []
     run_pipeline(cfg, log=lines.append)
     assert set(_stage_status(lines).values()) == {"running: code changed"}
     assert _tree(out_dir) == before  # the same code and kernel write the same bytes
+
+
+def test_record_from_other_numpy_dispatch_reruns_every_stage(make_config, tmp_path):
+    out_dir = tmp_path / "dispatch"
+    cfg = load_config(make_config(out_dir=out_dir, ae_epochs=1, clf_epochs=1))
+    run_pipeline(cfg, log=_quiet)
+    before = _tree(out_dir)
+    here = pipeline.numpy_dispatch()
+    other = "X86_V3" if here != "X86_V3" else "X86_V3 X86_V4"  # another host's targets
+    paths = StagePaths(out_dir)
+    records = json.loads(paths.manifest.read_text())
+    for record in records.values():
+        record["env"]["dispatch"] = other
+    paths.manifest.write_text(json.dumps(records))
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {
+        f"running: numeric environment changed (dispatch {other} -> {here})"}
+    lines = []
+    run_pipeline(cfg, log=lines.append)
+    assert set(_stage_status(lines).values()) == {"cached"}
+    assert _tree(out_dir) == before
 
 
 def test_records_without_env_rerun_once(make_config, tmp_path):
@@ -631,7 +654,8 @@ def test_records_without_env_rerun_once(make_config, tmp_path):
     package = hashlib.blake2b(digest_size=32)
     for path in sorted(Path(qhybrid.__file__).parent.glob("*.py")):
         package.update(path.name.encode() + b"\0" + path.read_bytes())
-    env = {"code": package.hexdigest(), "numpy": np.__version__, "blas": pipeline.blas_core()}
+    env = {"code": package.hexdigest(), "numpy": np.__version__, "blas": pipeline.blas_core(),
+           "dispatch": pipeline.numpy_dispatch()}
     assert [r["env"] for r in json.loads(paths.manifest.read_text()).values()] == [env] * 6
 
 

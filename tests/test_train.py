@@ -8,7 +8,7 @@ from qhybrid.losses import cross_entropy_loss, mse_loss
 from qhybrid.network import INFERENCE_BATCH, Network, make_autoencoder, make_classifier
 from qhybrid.layers import Dense, Dropout
 from qhybrid.optim import Adam
-from qhybrid.pipeline import blas_core
+from qhybrid.pipeline import blas_core, numpy_dispatch
 from qhybrid.rng import Rng
 from qhybrid.train import MASK_CHUNK, evaluate, train
 
@@ -165,27 +165,48 @@ def _one_hot(rng, n, k):
     return y
 
 
-def _check_digests(net, rng, params_by_core, rng_state):
+def _check_digests(net, rng, params_by_isa, rng_state):
     h = hashlib.sha256()
     for name, arr in net.archive_entries():
         h.update(name.encode())
         h.update(arr.tobytes())
-    core, params = blas_core(), h.hexdigest()
-    assert core in params_by_core, f"no parameter digest recorded for BLAS core {core}: {params}"
-    assert params == params_by_core[core], f"BLAS core {core}"
+    core, dispatch, params = blas_core(), numpy_dispatch(), h.hexdigest()
+    isa = NUMERIC_ENVS.get((core, dispatch))
+    assert isa, (f"no parameter digest recorded for BLAS core {core} with numpy dispatch "
+                 f"{dispatch}: {params}")
+    assert params == params_by_isa[isa], f"BLAS core {core}, numpy dispatch {dispatch}"
     assert hashlib.sha256(rng._state.tobytes()).hexdigest() == rng_state
 
 
 # Digests of the trained parameters and the final loop-rng state, recorded
-# with per-tensor Adam and one uniform call per Dropout mask from the loop
-# rng's child split("dropout"); the flat parameter vector, blocked Adam and
-# chunked mask draws must reproduce them, and
-# test_chunked_masks_match_one_call_per_mask checks the last against the
+# with per-tensor Adam in its documented ten-pass order and one uniform call
+# per Dropout mask from the loop rng's child split("dropout"); the flat
+# parameter vector, blocked Adam and chunked mask draws must reproduce them,
+# and test_chunked_masks_match_one_call_per_mask checks the last against the
 # plain form on any core. The loop rng itself gives only the shuffles.
 # Parameter bits depend on OpenBLAS's kernel (Dense's matmuls round
-# differently under AVX-512 and AVX2), so each core keeps one digest of its
-# own: SkylakeX on AVX-512 hosts, Haswell on AVX2-only ones (OpenBLAS also
-# runs its Haswell kernels for Zen). The rng state does not depend on BLAS.
+# differently under AVX-512 and AVX2) and on numpy's SIMD dispatch targets
+# (np.exp and np.log round differently on its X86_V4 and X86_V3 paths), so
+# NUMERIC_ENVS maps each measured (BLAS core, dispatch targets) pair to the
+# digest it reproduces: "avx512" for SkylakeX with X86_V4, "avx2" for Haswell
+# with X86_V3 alone, as on an AVX2-only host (OpenBLAS also runs its Haswell
+# kernels for Zen). The pairs other than the host's own were measured with
+# targets turned off by NPY_DISABLE_CPU_FEATURES: AVX512_ICL and AVX512_SPR
+# leave the bits as they are. Any other pair fails with the digest it got.
+# The rng state depends on neither.
+NUMERIC_ENVS = {
+    ("SkylakeX", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"): "avx512",
+    ("SkylakeX", "X86_V3 X86_V4 AVX512_ICL"): "avx512",
+    ("SkylakeX", "X86_V3 X86_V4"): "avx512",
+    ("Haswell", "X86_V3"): "avx2",
+}
+
+
+def test_unrecorded_numeric_env_fails_naming_its_digest(monkeypatch):
+    monkeypatch.setattr(f"{__name__}.numpy_dispatch", lambda: "X86_V3 X86_V4 OTHER")
+    with pytest.raises(AssertionError, match=r"numpy dispatch X86_V3 X86_V4 OTHER: [0-9a-f]{64}\b"):
+        _check_digests(_toy_net(), Rng(0), {}, "")
+
 
 def _short_last_batch_run():
     data = Rng(60)
@@ -213,15 +234,15 @@ def _masks_cross_chunk_run():
 
 def test_pinned_digests_classifier_short_last_batch():
     _check_digests(*_short_last_batch_run(), {
-        "SkylakeX": "c61401bafdcb782b2d1f8250b6ae9e5c3bcf379f6a27bfb91f25e7a9775aa799",
-        "Haswell": "24c49d34a97dbf011c9b090188920de10967e39f3572f116d1d687a724fd36f3",
+        "avx512": "83096445a527c46f015cad42fc05a635e4005648c642f8b2c80c40d61229dd93",
+        "avx2": "d09c6def83fd986d41f3e9f200babefd488e5c055671ad29d3fdaf85317c465b",
     }, "c69c3465c095292af06b7fa0c8cc2f7e7e45df07602ac48f36b9fe158bb39c86")
 
 
 def test_pinned_digests_classifier_masks_cross_chunk():
     _check_digests(*_masks_cross_chunk_run(), {
-        "SkylakeX": "e4577ced7bc5f88b40eb369bf05598cb28b4e13e5a8f9f6a6a5a9a912b740d5c",
-        "Haswell": "046c7e78f3dcacf1d13a38f61d3b5937febeddd3b199838051a0814ca6a9a8e1",
+        "avx512": "4e30915cccfd534b78828c14de9f176ec98380393679884d7e9cbd7136ece448",
+        "avx2": "d2032c3e96e7478c6f05ec5d1d61fcff7af1f08d581df4439275f073be48b316",
     }, "1ccd06e46660d21b756b76463255b799b10fbe585b31dacb7139239cd05021a7")
 
 
@@ -243,8 +264,8 @@ def test_pinned_digests_autoencoder():
     rng = Rng(82)
     train(ae.net, x, None, epochs=2, batch_size=16, adam=Adam(alpha=0.005), rng=rng)
     _check_digests(ae.net, rng, {
-        "SkylakeX": "1201e74a5f0527669274aa49489636b4314fc24b01328baf8f8417dd468d953d",
-        "Haswell": "d25ff446a7a88abeeff43eed44bef8e568174d9d9ddd762ed9defb6cdca8ffbd",
+        "avx512": "45ae6803691b81a494d027419b443848cb6e2335b030203e4643aec21417f7e4",
+        "avx2": "1f3729c494de5df97260fb7f4223d16950ed4e8c1d15bda545a6c17a2b3fbb39",
     }, "c5375697369dd10cbb90ad3e4445ec4f4ecbea7409c3a82d00102e56930fe2aa")
 
 
